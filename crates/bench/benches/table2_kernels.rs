@@ -6,18 +6,20 @@
 //! from the accounting hooks in `tseig_kernels::flops`) is reported: the
 //! Level-3 kernels land far above any machine's roofline ridge point
 //! (compute-bound), the Level-2 kernels far below it (bandwidth-bound).
-//! At n = 1024 three gemm variants are compared: the SIMD-dispatched
-//! microkernel (`gemm_simd`, what `gemm` now runs), the packed loop nest
-//! pinned to the portable scalar microkernel (`gemm_packed`, comparable
-//! with the pre-dispatch baseline), and the seed's unpacked kernel
-//! (`gemm_unpacked`). The SIMD rate is also reported as a fraction of
-//! the machine's measured FMA peak (`perfmodel::measure_fma_peak`).
+//! At n = 1024 two gemm variants are compared: the SIMD-dispatched
+//! microkernel (`gemm_simd`, what `gemm` now runs) and the packed loop
+//! nest pinned to the portable scalar microkernel (`gemm_packed`,
+//! comparable with the pre-dispatch baseline). The seed's unpacked
+//! kernel is gone; its rate is recorded in
+//! `BENCH_20260806_packed_blas3.json`. The SIMD rate is also reported as
+//! a fraction of the machine's measured FMA peak
+//! (`perfmodel::measure_fma_peak`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tseig_bench::workload;
 use tseig_hermitian::ckernels::{zgemm, zgemm_oracle, Op};
 use tseig_kernels::blas2::{gemv, symv_lower};
-use tseig_kernels::blas3::{gemm, gemm_par, gemm_unpacked, gemm_with_kernel, simd, Trans};
+use tseig_kernels::blas3::{gemm, gemm_par, gemm_with_kernel, simd, Trans};
 use tseig_kernels::flops;
 use tseig_matrix::{c64, Matrix, C32, C64};
 
@@ -108,8 +110,7 @@ fn kernels(c: &mut Criterion) {
     });
 
     // Microkernel comparison at n = 1024 (single-threaded): the
-    // SIMD-dispatched path must beat the scalar packed baseline, which
-    // in turn must beat the seed's unpacked loop nest.
+    // SIMD-dispatched path must beat the scalar packed baseline.
     let n = 1024;
     let a = workload(n, 0x74);
     let b = workload(n, 0x75);
@@ -159,27 +160,6 @@ fn kernels(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function(BenchmarkId::new("gemm_unpacked", n), |bch| {
-        let mut cm = Matrix::zeros(n, n);
-        bch.iter(|| {
-            gemm_unpacked(
-                Trans::No,
-                Trans::No,
-                n,
-                n,
-                n,
-                1.0,
-                a.as_slice(),
-                n,
-                b.as_slice(),
-                n,
-                0.0,
-                cm.as_mut_slice(),
-                n,
-            )
-        })
-    });
-
     // Complex GEMM through the same generic packed engine (portable 8x4
     // C64 microkernel): the Hermitian pipeline's zgemm. Throughput in
     // real flops at the conventional 8mnk complex accounting.

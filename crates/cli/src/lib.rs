@@ -695,11 +695,7 @@ fn batch_svd<R: BufRead>(
         .collect();
     let driver = tseig_svd::GeSvd::new()
         .nb(nb.max(2))
-        .scheduler(match scheduler {
-            Scheduler::Serial => tseig_svd::stage2::Stage2Exec::Serial,
-            Scheduler::Static(t) => tseig_svd::stage2::Stage2Exec::Static(t),
-            Scheduler::Dynamic(t) => tseig_svd::stage2::Stage2Exec::Dynamic(t),
-        })
+        .scheduler(scheduler)
         .vectors(vectors);
     let mut batch = tseig_svd::SvdBatch::new(driver).threads(threads);
     if let Some(ms) = gov.deadline_ms {
@@ -742,11 +738,7 @@ fn herm_options(nb: usize, method: Method, scheduler: Scheduler, vectors: bool) 
     HermitianEigen::new()
         .nb(nb)
         .method(method)
-        .scheduler(match scheduler {
-            Scheduler::Serial => tseig_hermitian::Scheduler::Serial,
-            Scheduler::Static(t) => tseig_hermitian::Scheduler::Static(t),
-            Scheduler::Dynamic(t) => tseig_hermitian::Scheduler::Dynamic(t),
-        })
+        .scheduler(scheduler)
         .vectors(vectors)
 }
 

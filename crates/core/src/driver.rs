@@ -10,12 +10,13 @@
 use crate::backtransform::{self, apply_q};
 use crate::plan::SolvePlan;
 use crate::stage1;
-use crate::stage2::{self, reduce_scheduled, Stage2Exec, Stage2Schedule};
+use crate::stage2::{self, reduce_scheduled, Stage2Schedule};
 use std::time::Instant;
 use tseig_kernels::scaling;
 use tseig_matrix::diagnostics::{Recorder, Recovery, SolveDiagnostics, VerifyLevel, VerifyReport};
 use tseig_matrix::workspace::MemReq;
 use tseig_matrix::{norms, Ctrl, Error, Matrix, Result};
+use tseig_runtime::chase::Scheduler;
 use tseig_tridiag::{EigenRange, Method, PhaseTimings};
 
 /// Scaled-measure acceptance bound for [`SymmetricEigen::verify`]: the
@@ -23,20 +24,6 @@ use tseig_tridiag::{EigenRange, Method, PhaseTimings};
 /// error and orthogonality measures of order 1–100 are excellent and
 /// anything above ~1e3 indicates a bug.
 pub const VERIFY_BOUND: f64 = 1e3;
-
-/// Stage-2 scheduler selection (re-exported flavour of
-/// [`Stage2Exec`] with driver-friendly defaults).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Sequential kernel loop.
-    #[default]
-    Serial,
-    /// Static pipelined scheduler on `n` workers (paper's preference for
-    /// the memory-bound chase: small core count, high locality).
-    Static(usize),
-    /// Dynamic superscalar runtime on `n` workers.
-    Dynamic(usize),
-}
 
 /// Result of a two-stage eigensolve.
 #[derive(Clone, Debug)]
@@ -326,24 +313,26 @@ impl SymmetricEigen {
                     &self.ctrl,
                 )?;
             }
-            Scheduler::Static(threads) => {
-                let b = plan.bf.band.bandwidth();
-                let stale = !plan
-                    .sched
-                    .as_ref()
-                    .is_some_and(|s| s.n() == n && s.bandwidth() == b && s.threads() == threads);
-                if stale {
-                    plan.sched = None;
-                }
-                let sched = plan
-                    .sched
-                    .get_or_insert_with(|| Stage2Schedule::new(n, b, threads));
+            scheduled => {
                 let band = plan.bf.band.clone(); // tidy: allow(plan-no-alloc) -- scheduled arm, documented to allocate; the chase consumes the band
-                match stage2::reduce_static_prepared(band, sched, &self.ctrl) {
-                    Ok(c) => {
-                        plan.tri = c.tridiagonal;
-                        plan.v2 = c.v2;
+                let chased = match scheduled {
+                    Scheduler::Static(threads) => {
+                        let b = band.bandwidth();
+                        let stale = !plan.sched.as_ref().is_some_and(|s| {
+                            s.n() == n && s.bandwidth() == b && s.threads() == threads
+                        });
+                        if stale {
+                            plan.sched = None;
+                        }
+                        let sched = plan
+                            .sched
+                            .get_or_insert_with(|| Stage2Schedule::new(n, b, threads));
+                        stage2::reduce_static_prepared(band, sched, &self.ctrl)
                     }
+                    _ => reduce_scheduled(band, scheduled, &self.ctrl),
+                };
+                let c = match chased {
+                    Ok(c) => c,
                     Err(e) => {
                         // A cancel or deadline drains the pool and
                         // surfaces here as a runtime error; re-check the
@@ -352,32 +341,12 @@ impl SymmetricEigen {
                         self.ctrl.checkpoint()?;
                         rec.record(Recovery::SchedulerFallback { error: e });
                         let band = plan.bf.band.clone(); // tidy: allow(plan-no-alloc) -- recovery ladder, allocates by design
-                        let c = reduce_scheduled(band, Stage2Exec::Serial, &self.ctrl)
-                            .map_err(Error::Runtime)?;
-                        plan.tri = c.tridiagonal;
-                        plan.v2 = c.v2;
+                        reduce_scheduled(band, Scheduler::Serial, &self.ctrl)
+                            .map_err(Error::Runtime)?
                     }
-                }
-            }
-            Scheduler::Dynamic(threads) => {
-                let band = plan.bf.band.clone(); // tidy: allow(plan-no-alloc) -- scheduled arm, documented to allocate; the chase consumes the band
-                match reduce_scheduled(band, Stage2Exec::Dynamic(threads), &self.ctrl) {
-                    Ok(c) => {
-                        plan.tri = c.tridiagonal;
-                        plan.v2 = c.v2;
-                    }
-                    Err(e) => {
-                        // Same disambiguation as the static arm: an armed
-                        // control must not trigger the serial fallback.
-                        self.ctrl.checkpoint()?;
-                        rec.record(Recovery::SchedulerFallback { error: e });
-                        let band = plan.bf.band.clone(); // tidy: allow(plan-no-alloc) -- recovery ladder, allocates by design
-                        let c = reduce_scheduled(band, Stage2Exec::Serial, &self.ctrl)
-                            .map_err(Error::Runtime)?;
-                        plan.tri = c.tridiagonal;
-                        plan.v2 = c.v2;
-                    }
-                }
+                };
+                plan.tri = c.tridiagonal;
+                plan.v2 = c.v2;
             }
         }
         timings.stage2 = t1.elapsed();

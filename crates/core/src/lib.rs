@@ -45,8 +45,9 @@ pub mod stage1;
 pub mod stage2;
 
 pub use batch::{BatchDriver, BatchSummary, PoolEvents, ScalarTag};
-pub use driver::{Scheduler, SymmetricEigen, TwoStageResult, VERIFY_BOUND};
+pub use driver::{SymmetricEigen, TwoStageResult, VERIFY_BOUND};
 pub use generalized::{solve_generalized, solve_generalized_with_plan, GenPlan};
 pub use plan::SolvePlan;
 pub use stage2::V2Set;
 pub use tseig_matrix::diagnostics::{Recovery, SolveDiagnostics, VerifyLevel, VerifyReport};
+pub use tseig_runtime::chase::Scheduler;

@@ -35,9 +35,6 @@
 //! over `ic` row blocks with private accumulators when the problem is
 //! tall and narrow.
 //!
-//! The seed's unpacked kernel is kept as [`gemm_unpacked`] — it is the
-//! baseline the `table2_kernels` bench compares the packed path against.
-//!
 //! ## Microkernel dispatch
 //!
 //! The register tile itself lives in [`simd`]: explicit AVX-512 (24x8)
@@ -93,13 +90,9 @@ impl From<Trans> for Op {
 }
 
 pub use blocking::KC;
-/// Register-tile height of the **unpacked baseline** (`gemm_unpacked`);
-/// the packed path takes its tile shape from [`simd::selected`].
-const MR: usize = 16;
-/// Register-tile width of the unpacked baseline.
+/// Column quad width of the scalar triangular diagonal-block multiply.
 const NR: usize = 4;
-/// Row-block size of the unpacked baseline's A sub-block (~half an L2);
-/// also the byte-traffic model's re-stream granularity.
+/// Row-block re-stream granularity of the byte-traffic models.
 const MC: usize = 256;
 /// Column-block reference size used by the byte-traffic model.
 const NC: usize = 1024;
@@ -388,338 +381,6 @@ pub fn gemm_par_with(
         c,
         ldc,
     );
-}
-
-/// The seed's unpacked `gemm` — the `N/N` and `N/T` cases run a
-/// register-tiled microkernel straight off the strided operands, `T/N`
-/// is lane-split dot products, `T/T` a naive triple loop. Kept as the
-/// baseline the `table2_kernels` bench measures the packed path against.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_unpacked(
-    transa: Trans,
-    transb: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    gemm_contract(
-        "gemm_unpacked",
-        transa,
-        transb,
-        m,
-        n,
-        k,
-        a,
-        lda,
-        b,
-        ldb,
-        c,
-        ldc,
-    );
-    add(Level::L3, (2 * m * n * k) as u64);
-    // Traffic model: A read once per (k-block, i-block), B re-streamed
-    // once per MC row block, C read+written once per k-block.
-    {
-        let npc = k.div_ceil(KC).max(1) as u64;
-        let nic = m.div_ceil(MC).max(1) as u64;
-        let (mu, nu, ku) = (m as u64, n as u64, k as u64);
-        add_bytes(Level::L3, 8 * (mu * ku + ku * nu * nic + 2 * mu * nu * npc));
-    }
-    scale_c(beta, m, n, c, ldc);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    match (transa, transb) {
-        (Trans::No, Trans::No) => gemm_nn(m, n, k, alpha, a, lda, b, ldb, c, ldc),
-        (Trans::Yes, Trans::No) => gemm_tn(m, n, k, alpha, a, lda, b, ldb, c, ldc),
-        (Trans::No, Trans::Yes) => gemm_nt(m, n, k, alpha, a, lda, b, ldb, c, ldc),
-        (Trans::Yes, Trans::Yes) => gemm_tt(m, n, k, alpha, a, lda, b, ldb, c, ldc),
-    }
-}
-
-/// `C += alpha A B` straight off the strided operands (seed baseline).
-fn gemm_nn(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    let mut k0 = 0;
-    while k0 < k {
-        let kb = KC.min(k - k0);
-        // Row blocking: the active A sub-block (MC x KC, ~0.5 MB) stays
-        // L2-resident while the whole width of B/C streams past it.
-        let mut i0 = 0;
-        while i0 < m {
-            let ib = MC.min(m - i0);
-            let i_full_end = i0 + (ib / MR) * MR;
-            let mut j = 0;
-            while j + NR <= n {
-                let mut i = i0;
-                while i < i_full_end {
-                    microkernel_8x4(i, j, k0, kb, alpha, a, lda, b, ldb, c, ldc);
-                    i += MR;
-                }
-                // Row remainder: scalar columns.
-                if i < i0 + ib {
-                    for jj in j..j + NR {
-                        edge_col(i, i0 + ib, jj, k0, kb, alpha, a, lda, b, ldb, c, ldc);
-                    }
-                }
-                j += NR;
-            }
-            // Column remainder.
-            while j < n {
-                edge_col(i0, i0 + ib, j, k0, kb, alpha, a, lda, b, ldb, c, ldc);
-                j += 1;
-            }
-            i0 += ib;
-        }
-        k0 += kb;
-    }
-}
-
-/// One `MR x NR` register tile of `C += alpha A B` over `k0..k0+kb`
-/// (unpacked baseline).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn microkernel_8x4(
-    i: usize,
-    j: usize,
-    k0: usize,
-    kb: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    let mut acc = [[0.0f64; MR]; NR];
-    let mut av = [0.0f64; MR];
-    for kk in k0..k0 + kb {
-        let acol = &a[i + kk * lda..i + kk * lda + MR];
-        av.copy_from_slice(acol);
-        for jj in 0..NR {
-            let bv = b[kk + (j + jj) * ldb];
-            for ii in 0..MR {
-                acc[jj][ii] = av[ii].mul_add(bv, acc[jj][ii]);
-            }
-        }
-    }
-    for jj in 0..NR {
-        let ccol = &mut c[i + (j + jj) * ldc..i + (j + jj) * ldc + MR];
-        for ii in 0..MR {
-            ccol[ii] += alpha * acc[jj][ii];
-        }
-    }
-}
-
-/// Scalar edge path: rows `i0..m` of column `j` (unpacked baseline).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn edge_col(
-    i0: usize,
-    m: usize,
-    j: usize,
-    k0: usize,
-    kb: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    let cj = &mut c[j * ldc + i0..j * ldc + m];
-    for kk in k0..k0 + kb {
-        let t = alpha * b[kk + j * ldb];
-        if t == 0.0 {
-            continue;
-        }
-        let acol = &a[i0 + kk * lda..m + kk * lda];
-        for (cv, av) in cj.iter_mut().zip(acol) {
-            *cv += t * av;
-        }
-    }
-}
-
-/// `C += alpha A^T B`: contiguous dot products of `A` and `B` columns,
-/// through the shared eight-lane core in [`crate::blas1::dot_contig`]
-/// (unpacked baseline).
-fn gemm_tn(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    for j in 0..n {
-        let bcol = &b[j * ldb..j * ldb + k];
-        for i in 0..m {
-            let acol = &a[i * lda..i * lda + k];
-            c[i + j * ldc] += alpha * crate::blas1::dot_contig(acol, bcol);
-        }
-    }
-}
-
-/// `C += alpha A B^T` (unpacked baseline): register-tiled; `op(B)`
-/// elements `b[(j+jj) + kk*ldb]` are contiguous across the tile's
-/// columns.
-fn gemm_nt(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    let mut k0 = 0;
-    while k0 < k {
-        let kb = KC.min(k - k0);
-        let mut i0 = 0;
-        while i0 < m {
-            let ib = MC.min(m - i0);
-            let i_full_end = i0 + (ib / MR) * MR;
-            let mut j = 0;
-            while j + NR <= n {
-                let mut i = i0;
-                while i < i_full_end {
-                    microkernel_8x4_nt(i, j, k0, kb, alpha, a, lda, b, ldb, c, ldc);
-                    i += MR;
-                }
-                if i < i0 + ib {
-                    for jj in j..j + NR {
-                        edge_col_nt(i, i0 + ib, jj, k0, kb, alpha, a, lda, b, ldb, c, ldc);
-                    }
-                }
-                j += NR;
-            }
-            while j < n {
-                edge_col_nt(i0, i0 + ib, j, k0, kb, alpha, a, lda, b, ldb, c, ldc);
-                j += 1;
-            }
-            i0 += ib;
-        }
-        k0 += kb;
-    }
-}
-
-/// `MR x NR` tile of `C += alpha A B^T` (unpacked baseline).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn microkernel_8x4_nt(
-    i: usize,
-    j: usize,
-    k0: usize,
-    kb: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    let mut acc = [[0.0f64; MR]; NR];
-    let mut av = [0.0f64; MR];
-    for kk in k0..k0 + kb {
-        let acol = &a[i + kk * lda..i + kk * lda + MR];
-        av.copy_from_slice(acol);
-        let brow = &b[j + kk * ldb..j + kk * ldb + NR];
-        for jj in 0..NR {
-            let bv = brow[jj];
-            for ii in 0..MR {
-                acc[jj][ii] = av[ii].mul_add(bv, acc[jj][ii]);
-            }
-        }
-    }
-    for jj in 0..NR {
-        let ccol = &mut c[i + (j + jj) * ldc..i + (j + jj) * ldc + MR];
-        for ii in 0..MR {
-            ccol[ii] += alpha * acc[jj][ii];
-        }
-    }
-}
-
-/// Scalar edge path of the `N/T` kernel (unpacked baseline).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn edge_col_nt(
-    i0: usize,
-    m: usize,
-    j: usize,
-    k0: usize,
-    kb: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    let cj = &mut c[j * ldc + i0..j * ldc + m];
-    for kk in k0..k0 + kb {
-        let t = alpha * b[j + kk * ldb];
-        if t == 0.0 {
-            continue;
-        }
-        let acol = &a[i0 + kk * lda..m + kk * lda];
-        for (cv, av) in cj.iter_mut().zip(acol) {
-            *cv += t * av;
-        }
-    }
-}
-
-/// `C += alpha A^T B^T` (unpacked baseline; naive, correctness only).
-fn gemm_tt(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    for j in 0..n {
-        for i in 0..m {
-            let acol = &a[i * lda..i * lda + k];
-            let mut s = 0.0;
-            for l in 0..k {
-                s += acol[l] * b[j + l * ldb];
-            }
-            c[i + j * ldc] += alpha * s;
-        }
-    }
 }
 
 /// Symmetric rank-k update of the lower triangle:
@@ -1591,8 +1252,9 @@ mod tests {
 
     #[test]
     fn gemm_packed_matches_unpacked_across_blocks() {
-        // Shapes straddling the MR/NR/KC/MC boundaries: packed and
-        // unpacked paths must agree to rounding.
+        // Shapes straddling the MR/NR/KC/MC boundaries: the packed path
+        // must agree to rounding with `alpha A B + beta C` formed from
+        // the unblocked triple-loop product.
         for (m, n, k, seed) in [
             (16, 4, 256, 30),
             (17, 5, 257, 31),
@@ -1603,8 +1265,9 @@ mod tests {
         ] {
             let a = rand_mat(m, k, seed);
             let b = rand_mat(k, n, seed + 100);
-            let mut c1 = rand_mat(m, n, seed + 200);
-            let mut c2 = c1.clone();
+            let mut c = rand_mat(m, n, seed + 200);
+            let ab = naive(&a, &b);
+            let want = Matrix::from_fn(m, n, |i, j| 1.3 * ab[(i, j)] + 0.7 * c[(i, j)]);
             gemm(
                 Trans::No,
                 Trans::No,
@@ -1617,30 +1280,18 @@ mod tests {
                 b.as_slice(),
                 k,
                 0.7,
-                c1.as_mut_slice(),
+                c.as_mut_slice(),
                 m,
             );
-            gemm_unpacked(
-                Trans::No,
-                Trans::No,
-                m,
-                n,
-                k,
-                1.3,
-                a.as_slice(),
-                m,
-                b.as_slice(),
-                k,
-                0.7,
-                c2.as_mut_slice(),
-                m,
-            );
-            assert!(c1.approx_eq(&c2, 1e-11), "(m,n,k)=({m},{n},{k})");
+            assert!(c.approx_eq(&want, 1e-11), "(m,n,k)=({m},{n},{k})");
         }
     }
 
     #[test]
     fn gemm_unpacked_all_transpose_combos() {
+        // Odd shapes off every tile multiple, all four operand
+        // transpositions (the shapes the seed's unpacked kernel was
+        // pinned on, now run through the packed path).
         let m = 19;
         let n = 11;
         let k = 23;
@@ -1656,7 +1307,7 @@ mod tests {
             (Trans::Yes, Trans::Yes, &at, &bt),
         ] {
             let mut c = Matrix::zeros(m, n);
-            gemm_unpacked(
+            gemm(
                 ta,
                 tb,
                 m,

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use tseig_kernels::blas3::{
-    gemm, gemm_par, gemm_par_with, gemm_unpacked, symm_lower_left, symm_lower_left_par,
-    syr2k_lower, syr2k_lower_par, syrk_lower, trmm_upper_left, Trans,
+    gemm, gemm_par, gemm_par_with, symm_lower_left, symm_lower_left_par, syr2k_lower,
+    syr2k_lower_par, syrk_lower, trmm_upper_left, Trans,
 };
 
 fn filled(len: usize, seed: u64) -> Vec<f64> {
@@ -110,30 +110,6 @@ fn gemm_par_with_rejects_small_ldc() {
         0.0,
         &mut c,
         3,
-    );
-}
-
-#[test]
-#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
-#[should_panic(expected = "leading dimension")]
-fn gemm_unpacked_rejects_small_lda() {
-    let a = filled(8, 1);
-    let b = filled(8, 2);
-    let mut c = vec![0.0; 16];
-    gemm_unpacked(
-        Trans::No,
-        Trans::No,
-        4,
-        4,
-        2,
-        1.0,
-        &a,
-        3,
-        &b,
-        2,
-        0.0,
-        &mut c,
-        4,
     );
 }
 

@@ -22,6 +22,9 @@
 //!   concurrently).
 //! * [`trace`] — per-task timing, aggregated by task tag, which powers the
 //!   Figure-1-style phase breakdowns in the benchmark harness.
+//! * [`chase`] — the stage-2 bulge-chase engine on top of all of the
+//!   above: one task protocol and one [`chase::Scheduler`] for the eig,
+//!   Hermitian and SVD chases, which supply only their kernels.
 //!
 //! Two layers certify that the delegation to region declarations is
 //! actually sound (DESIGN.md §11):
@@ -35,6 +38,7 @@
 //!   helpers report actual touches, and any touch outside the
 //!   declaration fails the run loudly. Compiled out of release.
 
+pub mod chase;
 pub mod data;
 pub mod exec;
 pub mod graph;

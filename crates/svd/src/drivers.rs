@@ -16,13 +16,14 @@
 
 use crate::bdsqr::bdsqr_with;
 use crate::stage1::{apply_p1, apply_q1, ge2bb_with};
-use crate::stage2::{reduce_scheduled, BvSet, Stage2Exec, Stage2Ws};
+use crate::stage2::{reduce_scheduled, BvSet, Stage2Ws};
 use std::time::Duration;
 use tseig_kernels::householder::larf_left;
 use tseig_kernels::scaling::{safe_scale_factor, scale_matrix, screen_general};
 use tseig_matrix::diagnostics::{Recorder, Recovery, SolveDiagnostics, VerifyLevel, VerifyReport};
 use tseig_matrix::{Ctrl, Deadline, Error, Matrix, MemBudget, MemReq, Result};
 use tseig_onestage::bidiagonal::gebrd;
+use tseig_runtime::chase::Scheduler;
 
 /// Thin SVD of an `m x n` matrix (`m >= n`): `A = U diag(s) V^T` with
 /// `U` `m x n`, `V` `n x n`, `s` descending non-negative.
@@ -94,7 +95,7 @@ pub struct GeSvd {
     nb: usize,
     ib: usize,
     method: SvdMethod,
-    scheduler: Stage2Exec,
+    scheduler: Scheduler,
     vectors: bool,
     verify: VerifyLevel,
     two_stage_min_n: usize,
@@ -107,7 +108,7 @@ impl Default for GeSvd {
             nb: 32,
             ib: 0,
             method: SvdMethod::Auto,
-            scheduler: Stage2Exec::Serial,
+            scheduler: Scheduler::Serial,
             vectors: true,
             verify: VerifyLevel::Off,
             two_stage_min_n: 768,
@@ -140,7 +141,7 @@ impl GeSvd {
     }
 
     /// Stage-2 scheduler for the two-stage path.
-    pub fn scheduler(mut self, s: Stage2Exec) -> Self {
+    pub fn scheduler(mut self, s: Scheduler) -> Self {
         self.scheduler = s;
         self
     }
@@ -736,9 +737,9 @@ mod tests {
         use tseig_matrix::CancelToken;
         let a = rand_mat(24, 24, 900);
         for sched in [
-            Stage2Exec::Serial,
-            Stage2Exec::Static(3),
-            Stage2Exec::Dynamic(4),
+            Scheduler::Serial,
+            Scheduler::Static(3),
+            Scheduler::Dynamic(4),
         ] {
             let drv = GeSvd::new()
                 .method(SvdMethod::TwoStage)
@@ -822,9 +823,9 @@ mod tests {
             let a = rand_mat(n, n, seed);
             let one = GeSvd::new().method(SvdMethod::OneStage).solve(&a).unwrap();
             for sched in [
-                Stage2Exec::Serial,
-                Stage2Exec::Static(3),
-                Stage2Exec::Dynamic(4),
+                Scheduler::Serial,
+                Scheduler::Static(3),
+                Scheduler::Dynamic(4),
             ] {
                 let two = GeSvd::new()
                     .method(SvdMethod::TwoStage)

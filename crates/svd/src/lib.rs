@@ -23,3 +23,4 @@ pub mod stage2;
 
 pub use bdsqr::bdsqr;
 pub use drivers::{gesvd, GeSvd, Svd, SvdBatch, SvdMethod, SvdPlan};
+pub use tseig_runtime::chase::Scheduler;

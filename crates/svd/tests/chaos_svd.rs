@@ -12,7 +12,7 @@ use tseig_matrix::diagnostics::Recovery;
 use tseig_matrix::{norms, Error, Matrix};
 use tseig_svd::drivers::{svd_residual, GeSvd, Svd, SvdMethod};
 use tseig_svd::gesvd;
-use tseig_svd::stage2::Stage2Exec;
+use tseig_svd::Scheduler;
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -72,9 +72,9 @@ fn bdsqr_stall_recovers_one_stage() {
 #[test]
 fn bdsqr_stall_recovers_two_stage() {
     for sched in [
-        Stage2Exec::Serial,
-        Stage2Exec::Static(3),
-        Stage2Exec::Dynamic(4),
+        Scheduler::Serial,
+        Scheduler::Static(3),
+        Scheduler::Dynamic(4),
     ] {
         let a = rand_mat(26, 26, 2);
         let plan = Plan::new().with(Site::BdsqrNoConv, 1);
@@ -121,7 +121,7 @@ fn chase_task_panic_falls_back_to_serial() {
         GeSvd::new()
             .method(SvdMethod::TwoStage)
             .nb(4)
-            .scheduler(Stage2Exec::Dynamic(4))
+            .scheduler(Scheduler::Dynamic(4))
             .solve(&a)
             .expect("serial fallback must rescue the chase")
     });

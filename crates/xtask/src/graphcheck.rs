@@ -1,10 +1,10 @@
 //! `xtask graphcheck` — offline race-freedom certification of the
 //! stage-2 task graphs (feature `graphcheck`).
 //!
-//! Both bulge-chasing frontends declare their task footprints through
-//! the same exported spec builders they schedule with
-//! (`chase_task_specs`/`chase_task_owners`), so the checker enumerates
-//! the *real* graphs, not a model of them. For every `(builder, n, b)`
+//! Every bulge chase declares its task footprints through the chase
+//! engine's spec and owner builders (`tseig_runtime::chase::task_specs`
+//! and `task_owners`), the same ones its schedulers run, so the checker
+//! enumerates the *real* graphs, not a model of them. For every `(builder, n, b)`
 //! instance of a fixed sweep it proves, via `tseig_runtime::verify`:
 //!
 //! * the inferred dependence graph is acyclic (edges only run forward in
@@ -26,6 +26,7 @@
 //! test run — see DESIGN.md §11 for the split.
 
 use crate::Diag;
+use tseig_runtime::chase;
 use tseig_runtime::verify::{self, TaskSpec};
 
 /// Matrix sizes of the sweep — small enough to enumerate exhaustively,
@@ -40,28 +41,28 @@ const SWEEP_THREADS: &[usize] = &[1, 2, 3, 4, 6];
 type SpecFn = fn(usize, usize) -> Vec<TaskSpec>;
 type OwnerFn = fn(usize, usize, usize) -> Vec<usize>;
 
-/// The production task-graph builders, by name, with the source file
-/// their declarations live in (for annotations). `svd` is the
-/// band-bidiagonal bulge chase — same interval-footprint discipline over
-/// its own `BAND_SPACE`/`BV_SPACE`.
+/// The production chases, by name, with the source file of their
+/// builder (for annotations): the engine's spec and owner functions
+/// instantiated with each builder. `svd` is the band-bidiagonal bulge
+/// chase, with its own step count and slot access.
 const BUILDERS: &[(&str, &str, SpecFn, OwnerFn)] = &[
     (
         "core",
         "crates/core/src/stage2.rs",
-        tseig_core::stage2::chase_task_specs,
-        tseig_core::stage2::chase_task_owners,
+        chase::task_specs::<tseig_core::stage2::EigChase>,
+        chase::task_owners::<tseig_core::stage2::EigChase>,
     ),
     (
         "hermitian",
         "crates/hermitian/src/stage2.rs",
-        tseig_hermitian::stage2::chase_task_specs,
-        tseig_hermitian::stage2::chase_task_owners,
+        chase::task_specs::<tseig_hermitian::stage2::HermitianChase>,
+        chase::task_owners::<tseig_hermitian::stage2::HermitianChase>,
     ),
     (
         "svd",
         "crates/svd/src/stage2.rs",
-        tseig_svd::stage2::chase_task_specs,
-        tseig_svd::stage2::chase_task_owners,
+        chase::task_specs::<tseig_svd::stage2::SvdChase>,
+        chase::task_owners::<tseig_svd::stage2::SvdChase>,
     ),
 ];
 
@@ -123,7 +124,7 @@ fn check_instance(
     }
 }
 
-/// Run the full sweep over both builders.
+/// Run the full sweep over every builder.
 pub fn run_sweep() -> Vec<InstanceReport> {
     let mut reports = Vec::new();
     for &(builder, file, specs_of, owners_of) in BUILDERS {

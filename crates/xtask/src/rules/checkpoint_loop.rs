@@ -170,6 +170,15 @@ mod tests {
     }
 
     #[test]
+    fn serial_chase_loops_stay_covered() {
+        // The serial sweep loops stayed in the builders when the chase
+        // protocol moved to the engine.
+        for c in ["core", "hermitian", "svd"] {
+            assert!(applies_to(&format!("crates/{c}/src/stage2.rs")), "{c}");
+        }
+    }
+
+    #[test]
     fn other_files_and_test_code_are_out_of_scope() {
         let src = "fn f(n: usize) {\n    let mut m = n;\n    while m > 0 { m -= 1; }\n}\n";
         assert!(run("crates/matrix/src/dense.rs", src).is_empty());

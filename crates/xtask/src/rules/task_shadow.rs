@@ -124,6 +124,22 @@ mod tests {
     }
 
     #[test]
+    fn every_chase_builder_is_a_task_file() {
+        // The chases hand their task bodies to the engine as
+        // `Builder::run_task`; if the marker stopped finding a builder,
+        // its kernels' storage touches would go unchecked.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for rel in [
+            "crates/core/src/stage2.rs",
+            "crates/hermitian/src/stage2.rs",
+            "crates/svd/src/stage2.rs",
+        ] {
+            let src = std::fs::read_to_string(root.join(rel)).unwrap();
+            assert!(defines_task_bodies(&SourceFile::parse(rel, &src)), "{rel}");
+        }
+    }
+
+    #[test]
     fn files_without_task_bodies_are_out_of_scope() {
         let src = "fn gather(a: &M) -> f64 {\n    a.get(0, 1)\n}\n";
         assert!(run("crates/matrix/src/dense.rs", src).is_empty());
