@@ -62,6 +62,7 @@ use tseig_kernels::blas3::{gemm, trmm_unit_lower_left, trmm_upper_left, Trans};
 use tseig_kernels::householder::{larfb_with_work, larft, Side};
 use tseig_matrix::workspace::{reset_f64s, MemReq};
 use tseig_matrix::{Ctrl, Matrix};
+use tseig_runtime::chase;
 
 /// Column-panel width used for the cache-local distribution of `E`.
 /// Chosen so a panel of a few thousand rows plus a diamond block fit in
@@ -218,7 +219,7 @@ pub fn bt_req(n: usize, nb: usize, ell: usize, panel_cols: usize, cols: usize) -
             let s0 = blk * ell;
             let s1 = (s0 + ell).min(nsweeps);
             let max_depth = (s0..s1)
-                .map(|s| V2Set::depth_of_sweep(n, nb, s))
+                .map(|s| chase::sym_depth_of_sweep(n, nb, s))
                 .max()
                 .unwrap_or(0);
             for k in 0..max_depth {
@@ -226,7 +227,7 @@ pub fn bt_req(n: usize, nb: usize, ell: usize, panel_cols: usize, cols: usize) -
                 let mut r0 = usize::MAX;
                 let mut rend = 0usize;
                 for s in s0..s1 {
-                    if k >= V2Set::depth_of_sweep(n, nb, s) {
+                    if k >= chase::sym_depth_of_sweep(n, nb, s) {
                         continue;
                     }
                     let start = s + 1 + k * nb;

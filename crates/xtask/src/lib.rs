@@ -9,7 +9,7 @@
 //! |------|-----------|
 //! | `unsafe-allowlist`  | `unsafe` only in the allowlisted files |
 //! | `safety-comment`    | every `unsafe` block/impl has `// SAFETY:` |
-//! | `safety-doc`        | every `unsafe fn` has a `# Safety` rustdoc section |
+//! | `safety-doc`        | every `unsafe fn`/`unsafe trait` has a `# Safety` rustdoc section |
 //! | `paired-counters`   | kernels charging flops also charge bytes |
 //! | `no-panics`         | no `unwrap()`/`expect(`/`panic!` in library code |
 //! | `lossy-cast`        | no `as u32`/`as i32`/`as f32` in library code |
