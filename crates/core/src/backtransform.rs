@@ -23,23 +23,30 @@
 //! So `E <- Q2 E` is: for sweep-blocks from last to first, for `k`
 //! ascending, `E <- (I - V_k T_k V_k^T) E` on the diamond's row range.
 //!
-//! ## The diamond kernel — microkernel GEMM on the parallelogram split
+//! ## The diamond kernel — three packed GEMMs on the padded parallelogram
 //!
 //! A diamond's `V` is a parallelogram: column `c` is supported on local
-//! rows `c..c+len_c`, so the top `k x k` block `L` is **unit lower
-//! triangular** and the body `B` (rows `k..h`) is rectangular. The
-//! application `C <- (I - V T V^T) C` therefore splits into
+//! rows `c..c+len_c`, so its top `k x k` block is unit lower triangular
+//! and the rest is zero-padded to a full `h x k` rectangle. After `larft`
+//! the unit diagonal is split out and the diamond stores
+//! `V' = V - [I; 0]`, the parallelogram with a zero diagonal. The
+//! application `C <- (I - V T V^T) C` is then
 //!
 //! ```text
-//! W  = L^T C_top + B^T C_body     triangular (zero-free) + packed GEMM
-//! W <- T W                        small trmm
-//! C_top  -= L W                   triangular (zero-free)
-//! C_body -= B W                   packed GEMM
+//! W  = C_top + V'^T C             copy + packed GEMM
+//! W2 = T W                        packed GEMM (T has a clean lower part)
+//! C -= V' W2                      packed GEMM
+//! C_top -= W2                     the split-out identity
 //! ```
 //!
-//! and the two rectangular products — all the O(nb) x cols x O(nb)
-//! flops — run through the SIMD-dispatched packed microkernel
-//! (`kernels::blas3::simd`) instead of scalar dot/axpy loops.
+//! so every O(nb) x cols x O(nb) product runs through the SIMD-dispatched
+//! packed microkernel (`kernels::blas3::simd`), as the paper's §6 does:
+//! it accepts the zero padding of the parallelogram, about
+//! `(nb + ell - 1)/nb` times the flops of the reflectors themselves, in
+//! exchange for GEMM rate. Keeping the identity out of the GEMMs adds
+//! the top rows exactly instead of as `1.0 * x` products, which keeps
+//! the orthogonality of the result at the level of the reflector-wise
+//! application.
 //!
 //! ## Applying `Q1`, and the fused single pass
 //!
@@ -58,7 +65,7 @@ use crate::stage1::Q1Panel;
 use crate::stage2::V2Set;
 use rayon::prelude::*;
 use std::cell::RefCell;
-use tseig_kernels::blas3::{gemm, trmm_unit_lower_left, trmm_upper_left, Trans};
+use tseig_kernels::blas3::{gemm, Trans};
 use tseig_kernels::householder::{larfb_with_work, larft, Side};
 use tseig_matrix::workspace::{reset_f64s, MemReq};
 use tseig_matrix::{Ctrl, Matrix};
@@ -79,9 +86,8 @@ thread_local! {
 
 /// One prebuilt diamond block: `I - V T V^T` acting on rows
 /// `r0 .. r0 + v.rows()`. Column `c` of `V` is supported on local rows
-/// `c .. c + len[c]` (the parallelogram structure): the top `k x k`
-/// block is unit lower triangular, the rest is the rectangular body the
-/// GEMM path consumes.
+/// `c .. c + len[c]` (the parallelogram structure); `v` stores
+/// `V' = V - [I; 0]`, the parallelogram with its unit diagonal zeroed.
 struct Diamond {
     r0: usize,
     v: Matrix,
@@ -159,6 +165,12 @@ fn build_diamonds_ws(v2: &V2Set, ell: usize, plan: &mut BtPlan) {
             }
             reset_f64s(&mut d.t, kb * kb);
             larft(height, kb, d.v.as_slice(), height, &plan.tau, &mut d.t, kb);
+            // Split out the unit diagonal: `apply_diamond` adds it back
+            // exactly, outside the GEMMs.
+            for col in 0..kb {
+                debug_assert_eq!(d.v[(col, col)], 1.0, "explicit leading 1");
+                d.v[(col, col)] = 0.0;
+            }
             nd += 1;
         }
     }
@@ -412,69 +424,75 @@ pub fn apply_q(v2: &V2Set, panels: &[Q1Panel], e: &mut Matrix, ell: usize, panel
     apply_pipeline(&diamonds, panels, e, panel_cols);
 }
 
-/// Apply one diamond `C <- (I - V T V^T) C` through the packed
-/// microkernel on the parallelogram split (see the module docs): the
-/// unit-lower-triangular top `L` of `V` goes through the zero-free
-/// `trmm_unit_lower_left`, the rectangular body `B` through two packed
-/// `gemm`s that carry all the Level-3 flops. `work` provides at least
+/// Apply one diamond `C <- (I - V T V^T) C` as three packed `gemm`s on
+/// the stored `V' = V - [I; 0]` plus the split-out identity on the top
+/// `k` rows (see the module docs). `work` provides at least
 /// `2 * k * cols` scratch.
 fn apply_diamond(d: &Diamond, panel: &mut [f64], ldc: usize, cols: usize, work: &mut [f64]) {
     let k = d.v.cols();
     let h = d.v.rows();
-    let body = h - k;
-    let vdata = d.v.as_slice();
+    let vp = d.v.as_slice();
+    debug_assert!(
+        (0..k).all(|c| vp[c + c * h] == 0.0),
+        "a diamond's stored V' must have an exactly zero diagonal"
+    );
+    let c = &mut panel[d.r0..];
     let (w, w2) = work[..2 * k * cols].split_at_mut(k * cols);
-    // W = L^T C_top: copy the top rows, then the triangular product.
+    // W = C_top + V'^T C.
     for j in 0..cols {
-        w[j * k..(j + 1) * k].copy_from_slice(&panel[d.r0 + j * ldc..][..k]);
+        w[j * k..(j + 1) * k].copy_from_slice(&c[j * ldc..][..k]);
     }
-    trmm_unit_lower_left(Trans::Yes, k, cols, vdata, h, w, k);
-    // W += B^T C_body: packed-GEMM over the parallelogram body.
-    if body > 0 {
-        gemm(
-            Trans::Yes,
-            Trans::No,
-            k,
-            cols,
-            body,
-            1.0,
-            &vdata[k..],
-            h,
-            &panel[d.r0 + k..],
-            ldc,
-            1.0,
-            w,
-            k,
-        );
-    }
-    // W <- T W (T upper triangular with clean lower part).
-    trmm_upper_left(Trans::No, k, cols, 1.0, &d.t, k, w, k);
-    // C_body -= B W.
-    if body > 0 {
-        gemm(
-            Trans::No,
-            Trans::No,
-            body,
-            cols,
-            k,
-            -1.0,
-            &vdata[k..],
-            h,
-            w,
-            k,
-            1.0,
-            &mut panel[d.r0 + k..],
-            ldc,
-        );
-    }
-    // C_top -= L W via the second scratch block.
-    w2.copy_from_slice(w);
-    trmm_unit_lower_left(Trans::No, k, cols, vdata, h, w2, k);
+    gemm(
+        Trans::Yes,
+        Trans::No,
+        k,
+        cols,
+        h,
+        1.0,
+        vp,
+        h,
+        c,
+        ldc,
+        1.0,
+        w,
+        k,
+    );
+    // W2 = T W.
+    gemm(
+        Trans::No,
+        Trans::No,
+        k,
+        cols,
+        k,
+        1.0,
+        &d.t,
+        k,
+        w,
+        k,
+        0.0,
+        w2,
+        k,
+    );
+    // C -= V' W2, then C_top -= W2.
+    gemm(
+        Trans::No,
+        Trans::No,
+        h,
+        cols,
+        k,
+        -1.0,
+        vp,
+        h,
+        w2,
+        k,
+        1.0,
+        c,
+        ldc,
+    );
     for j in 0..cols {
-        let cseg = &mut panel[d.r0 + j * ldc..][..k];
-        let wcol = &w2[j * k..(j + 1) * k];
-        for (c, &x) in cseg.iter_mut().zip(wcol) {
-            *c -= x;
+        let ctop = &mut c[j * ldc..][..k];
+        for (x, &y) in ctop.iter_mut().zip(&w2[j * k..(j + 1) * k]) {
+            *x -= y;
         }
     }
 }
@@ -551,12 +569,20 @@ mod tests {
 
     #[test]
     fn diamond_matches_naive_various_ell() {
-        for (n, b, seed) in [(20, 3, 2), (35, 5, 3), (24, 4, 4)] {
+        // n = 53 and 70 are not multiples of b, so the last sweep block
+        // is short and its diamonds ragged, at ell = 1, b/2 and b.
+        for (n, b, seed) in [
+            (20, 3, 2),
+            (35, 5, 3),
+            (24, 4, 4),
+            (53, 8, 11),
+            (70, 12, 12),
+        ] {
             let (_, v2, _) = chase_setup(n, b, seed);
             let e0 = gen::random_symmetric(n, seed + 100);
             let mut naive = e0.clone();
             apply_q2_naive(&v2, &mut naive);
-            for ell in [1, 2, 3, 8, 64] {
+            for ell in [1, 2, 3, b / 2, b, 8, 64] {
                 let mut fast = e0.clone();
                 apply_q2(&v2, &mut fast, ell, 7);
                 assert!(

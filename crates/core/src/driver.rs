@@ -231,9 +231,10 @@ impl SymmetricEigen {
             return Ok(());
         }
 
-        // Half-band grouping keeps the diamond padding overhead
-        // ((nb + ell - 1)/nb extra flops) at ~1.5x while the blocks stay
-        // Level-3 sized — measured optimum across nb on this machine.
+        // Half-band grouping: the diamond GEMMs run over the zero-padded
+        // parallelogram, (nb + ell - 1)/nb times the reflectors' own
+        // flops (~1.5x at ell = nb/2), in exchange for ell-wide GEMM
+        // operands.
         let ell = if self.ell == 0 {
             (self.nb / 2).max(1)
         } else {

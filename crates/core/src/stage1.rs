@@ -11,8 +11,10 @@
 //! A <- A - V X^T - X V^T              (syr2k)
 //! ```
 //!
-//! Everything is Level-3 (`gemm`/`symm`/`syr2k`, all rayon-parallel): the
-//! compute-bound recasting that motivates the whole two-stage design.
+//! Everything is Level-3 (`gemm`/`symm`/`syr2k`, each blocked onto the
+//! packed GEMM engine; the scheduled pipeline picks their rayon-parallel
+//! variants, the serial one their sequential forms): the compute-bound
+//! recasting that motivates the whole two-stage design.
 //! `V` and `T` are retained per panel for the back-transformation
 //! (`Q1` application, paper Fig. 3a).
 

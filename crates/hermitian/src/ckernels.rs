@@ -43,7 +43,7 @@ use tseig_matrix::ComplexScalar;
 pub use tseig_kernels::blas3::Op;
 
 /// Column-panel width of the blocked `zher2k`/`zhemm` (same panel order
-/// as the real `syr2k`'s `SYR2K_JB`).
+/// as the real `syr2k`/`symm`'s `TRI_JB`).
 const ZBLK_JB: usize = 64;
 
 /// `C <- alpha op(A) op(B) + beta C` (complex). `op(A)` is `m x k`,

@@ -147,28 +147,25 @@ pub fn require_finite_lower<T: Scalar>(kernel: &str, arg: &str, s: &[T], n: usiz
     let _ = (kernel, arg, s, n, ld);
 }
 
-/// `paranoid` only: the stored upper triangle (diagonal included) of an
-/// order-`n` operand must be finite. Counterpart of
-/// [`require_finite_lower`] for upper-triangular kernels (`trmm` on the
-/// compact WY factor `T`).
+/// The strictly-lower triangle of an order-`n` operand must be exactly
+/// zero. Guards kernels that feed a triangular factor (the compact WY
+/// `T` of `larft`) to a general `gemm`, which reads the whole square:
+/// stale values below the diagonal would silently enter the product.
 #[inline]
 #[track_caller]
-pub fn require_finite_upper<T: Scalar>(kernel: &str, arg: &str, s: &[T], n: usize, ld: usize) {
-    #[cfg(feature = "paranoid")]
+pub fn require_zero_strict_lower(kernel: &str, arg: &str, s: &[f64], n: usize, ld: usize) {
     if enabled() {
         for j in 0..n {
-            for i in 0..=j {
+            for i in j + 1..n {
                 let v = s[i + j * ld];
                 assert!(
-                    v.is_finite(),
-                    "{kernel}: non-finite input poison in upper triangle of `{arg}` \
-                     at ({i}, {j}): {v:?}"
+                    v == 0.0,
+                    "{kernel}: `{arg}` must be upper triangular, but ({i}, {j}) = {v:?} \
+                     below the diagonal"
                 );
             }
         }
     }
-    #[cfg(not(feature = "paranoid"))]
-    let _ = (kernel, arg, s, n, ld);
 }
 
 /// `paranoid` only: every element of a vector operand must be finite.

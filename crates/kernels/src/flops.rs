@@ -36,7 +36,7 @@ pub enum Level {
     /// Matrix-vector work (`gemv`, `symv`, `ger`, `syr2`, unblocked
     /// reflector application).
     L2,
-    /// Matrix-matrix work (`gemm`, `syrk`, `syr2k`, `trmm`, blocked
+    /// Matrix-matrix work (`gemm`, `syrk`, `syr2k`, `symm`, blocked
     /// reflector application).
     L3,
 }

@@ -251,7 +251,8 @@ pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f6
 ///
 /// `V` carries explicit unit diagonal / explicit zeros above (see module
 /// docs); `T` is the `k x k` factor from [`larft`] with a clean lower
-/// triangle.
+/// triangle — both sides multiply by the whole of `T` through `gemm`,
+/// and debug builds check that its strictly-lower part is zero.
 #[allow(clippy::too_many_arguments)]
 pub fn larfb(
     side: Side,
@@ -309,6 +310,7 @@ pub fn larfb_with_work(
         contract::require_no_alias("larfb", "v", v, "c", c);
         contract::require_no_alias("larfb", "t", t, "c", c);
         contract::require_no_alias("larfb", "work", work, "c", c);
+        contract::require_zero_strict_lower("larfb", "t", t, k, ldt);
     }
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -316,8 +318,8 @@ pub fn larfb_with_work(
     let topt = trans;
     match side {
         Side::Left => {
-            // W = V^T C  (k x n); W <- op(T) W (triangular); C -= V W.
-            let w = &mut work[..k * n];
+            // W = V^T C  (k x n); W2 = op(T) W; C -= V W2.
+            let (w, w2) = work[..2 * k * n].split_at_mut(k * n);
             gemm(
                 Trans::Yes,
                 Trans::No,
@@ -333,7 +335,7 @@ pub fn larfb_with_work(
                 w,
                 k,
             );
-            crate::blas3::trmm_upper_left(topt, k, n, 1.0, t, ldt, w, k);
+            gemm(topt, Trans::No, k, n, k, 1.0, t, ldt, w, k, 0.0, w2, k);
             gemm(
                 Trans::No,
                 Trans::No,
@@ -343,7 +345,7 @@ pub fn larfb_with_work(
                 -1.0,
                 v,
                 ldv,
-                w,
+                w2,
                 k,
                 1.0,
                 c,

@@ -7,7 +7,7 @@
 //!   `gemv`, `ger`, `syr2`. These dominate the *one-stage* reduction and
 //!   are the reason it cannot scale (paper §4, Table 2).
 //! * **Level-3 kernels** ([`blas3`]) — compute-bound, cache-blocked and
-//!   optionally rayon-parallel: `gemm`, `syrk`, `syr2k`, `trmm`. These
+//!   optionally rayon-parallel: `gemm`, `syrk`, `syr2k`, `symm`. These
 //!   dominate the *two-stage* pipeline.
 //! * **Householder tool-chain** ([`householder`], [`qr`]) — `larfg`,
 //!   `larf`, `larft`, `larfb`, blocked QR: the building blocks of both

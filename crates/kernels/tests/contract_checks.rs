@@ -9,8 +9,9 @@
 use proptest::prelude::*;
 use tseig_kernels::blas3::{
     gemm, gemm_par, gemm_par_with, symm_lower_left, symm_lower_left_par, syr2k_lower,
-    syr2k_lower_par, syrk_lower, trmm_upper_left, Trans,
+    syr2k_lower_par, syrk_lower, Trans,
 };
+use tseig_kernels::householder::{larfb_with_work, larft, Side};
 
 fn filled(len: usize, seed: u64) -> Vec<f64> {
     use rand::rngs::StdRng;
@@ -162,13 +163,37 @@ fn symm_par_rejects_short_b() {
     symm_lower_left_par(4, 2, 1.0, &a, 4, &b, 4, 0.0, &mut c, 4);
 }
 
+/// `larfb` multiplies by the whole of `T` through `gemm`, so a stale
+/// value below `T`'s diagonal would enter the product unnoticed.
 #[test]
 #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
-#[should_panic(expected = "leading dimension")]
-fn trmm_rejects_small_ldt() {
-    let t = filled(16, 1);
-    let mut b = vec![0.0; 16];
-    trmm_upper_left(Trans::No, 4, 4, 1.0, &t, 3, &mut b, 4);
+#[should_panic(expected = "must be upper triangular")]
+fn larfb_rejects_t_with_nonzero_strict_lower() {
+    let (m, n, k) = (6, 3, 3);
+    let mut v = filled(m * k, 1);
+    for j in 0..k {
+        v[j * m..j * m + j].fill(0.0);
+        v[j + j * m] = 1.0;
+    }
+    let mut t = vec![0.0; k * k];
+    larft(m, k, &v, m, &filled(k, 2), &mut t, k);
+    t[2] = 1e-3; // (2, 0): strictly lower
+    let mut c = filled(m * n, 3);
+    let mut work = vec![0.0; 2 * k * n];
+    larfb_with_work(
+        Side::Left,
+        Trans::No,
+        m,
+        n,
+        k,
+        &v,
+        m,
+        &t,
+        k,
+        &mut c,
+        m,
+        &mut work,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -203,15 +228,6 @@ fn symm_rejects_aliased_b_and_c() {
     let mut buf = filled(16, 2);
     let (b, c) = aliased_pair(&mut buf);
     symm_lower_left(4, 2, 1.0, &a, 4, b, 4, 0.0, c, 4);
-}
-
-#[test]
-#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
-#[should_panic(expected = "overlaps output")]
-fn trmm_rejects_aliased_t_and_b() {
-    let mut buf = filled(16, 1);
-    let (t, b) = aliased_pair(&mut buf);
-    trmm_upper_left(Trans::No, 4, 4, 1.0, t, 4, b, 4);
 }
 
 // ---------------------------------------------------------------------
@@ -280,16 +296,6 @@ mod paranoid {
         symm_lower_left(4, 2, 1.0, &a, 4, &b, 4, 0.0, &mut c, 4);
         assert!(c.iter().all(|v| v.is_finite()));
     }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
-    #[should_panic(expected = "non-finite input poison")]
-    fn trmm_catches_nan_in_upper_triangle() {
-        let mut t = filled(16, 1);
-        t[4] = f64::NAN; // (0, 1): inside the upper read set
-        let mut b = vec![0.0; 16];
-        trmm_upper_left(Trans::No, 4, 4, 1.0, &t, 4, &mut b, 4);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -334,11 +340,21 @@ proptest! {
         symm_lower_left(m, k, 1.0, &sym, ldsy, &rhs, m + sa, 0.0, &mut out, m + sc);
         prop_assert!(out.iter().all(|v| v.is_finite()));
 
-        // trmm: B (k x n) = T (k x k, upper) B.
-        let ldt = k + sa;
-        let t = filled(ldt * k, seed + 6);
-        let mut rhs2 = filled((k + sb) * n, seed + 7);
-        trmm_upper_left(Trans::Yes, k, n, 1.0, &t, ldt, &mut rhs2, k + sb);
-        prop_assert!(rhs2.iter().all(|v| v.is_finite()));
+        // larfb: C (m x n) <- (I - V T V^T) C, T from larft, padded ldt.
+        let kv = k.min(m);
+        let ldv = m + sa;
+        let mut v = filled(ldv * kv, seed + 6);
+        for j in 0..kv {
+            v[j * ldv..j * ldv + j].fill(0.0);
+            v[j + j * ldv] = 1.0;
+        }
+        let tau = filled(kv, seed + 7);
+        let ldt = kv + sb;
+        let mut t = vec![0.0; ldt * kv];
+        larft(m, kv, &v, ldv, &tau, &mut t, ldt);
+        let mut cc = filled(ldc * n, seed + 8);
+        let mut work = vec![0.0; 2 * kv * n];
+        larfb_with_work(Side::Left, Trans::No, m, n, kv, &v, ldv, &t, ldt, &mut cc, ldc, &mut work);
+        prop_assert!(cc.iter().all(|v| v.is_finite()));
     }
 }

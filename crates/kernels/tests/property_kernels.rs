@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tseig_kernels::blas3::{
-    gemm, gemm_par_with, symm_lower_left_par, syr2k_lower, syr2k_lower_par, Trans,
+    gemm, gemm_par_with, symm_lower_left, symm_lower_left_par, syr2k_lower, syr2k_lower_par, Trans,
 };
 use tseig_kernels::householder::{larfb, larfg, larft, Side};
 use tseig_kernels::qr::{geqrf, orgqr};
@@ -135,7 +135,8 @@ proptest! {
         prop_assert!(blocked.approx_eq(&seq, 1e-11));
     }
 
-    /// symm and syr2k parallel kernels agree with dense oracles.
+    /// symm (serial and parallel) and the parallel syr2k agree with
+    /// dense oracles.
     #[test]
     fn symmetric_level3_oracles(m in 1usize..30, k in 1usize..8, seed in 0u64..500) {
         let a = gen::random_symmetric(m, seed);
@@ -144,6 +145,9 @@ proptest! {
         symm_lower_left_par(m, k, 1.0, a.as_slice(), m, b.as_slice(), m, 0.0, c.as_mut_slice(), m);
         let want = a.multiply(&b).unwrap();
         prop_assert!(c.approx_eq(&want, 1e-10));
+        let mut cs = Matrix::zeros(m, k);
+        symm_lower_left(m, k, 1.0, a.as_slice(), m, b.as_slice(), m, 0.0, cs.as_mut_slice(), m);
+        prop_assert!(cs.approx_eq(&want, 1e-10));
 
         let x = rand_mat(m, k, seed + 2);
         let y = rand_mat(m, k, seed + 3);
