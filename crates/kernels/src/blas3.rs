@@ -1611,36 +1611,39 @@ mod tests {
     fn symm_matches_dense() {
         // Orders on both sides of the TRI_JB panel width (and one
         // spanning three panels), the stage-1 column count, and padded
-        // leading dimensions with NaN in every unread slot.
+        // leading dimensions with NaN in every unread slot, each with a
+        // negative and a positive `beta`, all to the same absolute bound.
         for m in [1, 9, 63, 64, 65, 130] {
             for k in [1, 4, 48] {
-                let (lda, ldb, ldc) = (m + 3, m + 1, m + 2);
-                let full = tseig_matrix::gen::random_symmetric(m, (m + k) as u64);
-                let mut a = vec![f64::NAN; lda * m];
-                for j in 0..m {
-                    for i in j..m {
-                        a[i + j * lda] = full[(i, j)];
+                for (alpha, beta) in [(2.0, -1.0), (1.5, 0.5)] {
+                    let (lda, ldb, ldc) = (m + 3, m + 1, m + 2);
+                    let full = tseig_matrix::gen::random_symmetric(m, (m + k) as u64);
+                    let mut a = vec![f64::NAN; lda * m];
+                    for j in 0..m {
+                        for i in j..m {
+                            a[i + j * lda] = full[(i, j)];
+                        }
                     }
-                }
-                let bm = rand_mat(m, k, 26);
-                let mut b = vec![f64::NAN; ldb * k];
-                let c0 = rand_mat(m, k, 27);
-                let mut c = vec![f64::NAN; ldc * k];
-                for j in 0..k {
-                    for i in 0..m {
-                        b[i + j * ldb] = bm[(i, j)];
-                        c[i + j * ldc] = c0[(i, j)];
+                    let bm = rand_mat(m, k, 26);
+                    let mut b = vec![f64::NAN; ldb * k];
+                    let c0 = rand_mat(m, k, 27);
+                    let mut c = vec![f64::NAN; ldc * k];
+                    for j in 0..k {
+                        for i in 0..m {
+                            b[i + j * ldb] = bm[(i, j)];
+                            c[i + j * ldc] = c0[(i, j)];
+                        }
                     }
-                }
-                symm_lower_left(m, k, 1.5, &a, lda, &b, ldb, 0.5, &mut c, ldc);
-                let want = naive(&full, &bm);
-                for j in 0..k {
-                    for i in 0..m {
-                        let w = 1.5 * want[(i, j)] + 0.5 * c0[(i, j)];
-                        let got = c[i + j * ldc];
-                        assert!((got - w).abs() < 1e-12 * m as f64, "m={m} k={k} ({i},{j})");
+                    symm_lower_left(m, k, alpha, &a, lda, &b, ldb, beta, &mut c, ldc);
+                    let want = naive(&full, &bm);
+                    for j in 0..k {
+                        for i in 0..m {
+                            let w = alpha * want[(i, j)] + beta * c0[(i, j)];
+                            let got = c[i + j * ldc];
+                            assert!((got - w).abs() < 1e-12, "m={m} k={k} beta={beta} ({i},{j})");
+                        }
+                        assert!(c[m + j * ldc..(j + 1) * ldc].iter().all(|v| v.is_nan()));
                     }
-                    assert!(c[m + j * ldc..(j + 1) * ldc].iter().all(|v| v.is_nan()));
                 }
             }
         }
