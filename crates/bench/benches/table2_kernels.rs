@@ -17,10 +17,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tseig_bench::workload;
-use tseig_hermitian::ckernels::{zgemm, zgemm_oracle, Op};
 use tseig_kernels::blas2::{gemv, symv_lower};
+use tseig_kernels::blas3::engine::gemm_par as zgemm;
+use tseig_kernels::blas3::Op;
 use tseig_kernels::blas3::{gemm, gemm_par, gemm_with_kernel, simd, Trans};
 use tseig_kernels::flops;
+use tseig_kernels::reference::gemm_oracle as zgemm_oracle;
 use tseig_matrix::{c64, Matrix, C32, C64};
 
 /// Dense complex workload (reproducible, well-scaled).

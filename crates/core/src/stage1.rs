@@ -22,19 +22,30 @@ use tseig_kernels::blas3::{
     gemm, gemm_par, symm_lower_left, symm_lower_left_par, syr2k_lower, syr2k_lower_par, Trans,
 };
 use tseig_kernels::contract;
-use tseig_kernels::qr::{extract_v_t_into, geqrf_req, geqrf_ws, QrWs};
+use tseig_kernels::qr::{extract_v_t_vec, geqrf_req, geqrf_ws, QrWs};
 use tseig_matrix::workspace::{reset_f64s, MemReq};
 use tseig_matrix::{Ctrl, Matrix, SymBandMatrix};
 
-/// One panel's block reflector: `Q_k = I - V T V^T` acting on rows
-/// `r0..n`.
-pub struct Q1Panel {
+/// One panel's block reflector: `Q_k = I - V T V^H` acting on rows
+/// `r0..r0 + rows`. Generic over the element type: the real reduction
+/// stores `f64` panels, the Hermitian one complex panels, and the one
+/// back-transformation applies either.
+pub struct Q1Panel<T = f64> {
     /// First global row the reflector touches.
     pub r0: usize,
-    /// `(n - r0) x kb` reflector block, explicit unit diagonal.
-    pub v: Matrix,
+    /// Row count of `V` (`n - r0`).
+    pub rows: usize,
+    /// `rows x kb` reflector block, column-major, explicit unit diagonal.
+    pub v: Vec<T>,
     /// `kb x kb` upper-triangular factor (clean lower triangle).
-    pub t: Vec<f64>,
+    pub t: Vec<T>,
+}
+
+impl<T> Q1Panel<T> {
+    /// Reflector count `kb` (the column count of `V`).
+    pub fn kb(&self) -> usize {
+        self.v.len().checked_div(self.rows).unwrap_or(0)
+    }
 }
 
 /// Result of the stage-1 reduction.
@@ -56,7 +67,7 @@ impl BandForm {
             + self
                 .panels
                 .iter()
-                .map(|p| p.v.capacity_bytes() + p.t.capacity() * std::mem::size_of::<f64>())
+                .map(|p| (p.v.capacity() + p.t.capacity()) * std::mem::size_of::<f64>())
                 .sum::<usize>()
     }
 }
@@ -194,15 +205,17 @@ pub fn sy2sb_ws(
         if out.panels.len() <= npanels {
             out.panels.push(Q1Panel {
                 r0,
-                v: Matrix::zeros(0, 0),
+                rows: m,
+                v: Vec::new(), // tidy: allow(plan-no-alloc) -- empty placeholder; the pool grows only while the plan is cold
                 t: Vec::new(), // tidy: allow(plan-no-alloc) -- empty placeholder; the pool grows only while the plan is cold
             });
         }
         let p = &mut out.panels[npanels];
         p.r0 = r0;
+        p.rows = m;
         {
             let panel = &work.as_slice()[r0 + j0 * lda..];
-            extract_v_t_into(panel, lda, m, kb, &ws.tau, &mut p.v, &mut p.t);
+            extract_v_t_vec(panel, lda, m, kb, &ws.tau, &mut p.v, &mut p.t);
         }
         npanels += 1;
         // Zero the annihilated part of the panel in A (below the R
@@ -215,7 +228,7 @@ pub fn sy2sb_ws(
         }
         // Two-sided trailing update A2 <- Q^T A2 Q on A[r0.., r0..].
         let p = &out.panels[npanels - 1];
-        two_sided_update(work, r0, &p.v, &p.t, parallel, ws);
+        two_sided_update(work, r0, &p.v, kb, &p.t, parallel, ws);
         j0 += nb;
     }
 
@@ -230,7 +243,8 @@ pub fn sy2sb_ws(
 fn two_sided_update(
     a: &mut Matrix,
     r0: usize,
-    v: &Matrix,
+    v: &[f64],
+    kb: usize,
     t: &[f64],
     parallel: bool,
     ws: &mut Stage1Ws,
@@ -238,7 +252,6 @@ fn two_sided_update(
     let n = a.rows();
     let lda = a.ld();
     let m = n - r0;
-    let kb = v.cols();
     if m == 0 || kb == 0 {
         return;
     }
@@ -253,7 +266,7 @@ fn two_sided_update(
         kb,
         kb,
         1.0,
-        v.as_slice(),
+        v,
         m,
         t,
         kb,
@@ -293,7 +306,7 @@ fn two_sided_update(
         kb,
         m,
         1.0,
-        v.as_slice(),
+        v,
         m,
         w.as_slice(),
         m,
@@ -327,7 +340,7 @@ fn two_sided_update(
         kb,
         kb,
         -0.5,
-        v.as_slice(),
+        v,
         m,
         &ws.tm,
         kb,
@@ -343,7 +356,7 @@ fn two_sided_update(
         } else {
             syr2k_lower
         };
-        syr2k(m, kb, -1.0, v.as_slice(), m, x.as_slice(), m, 1.0, a2, lda);
+        syr2k(m, kb, -1.0, v, m, x.as_slice(), m, 1.0, a2, lda);
     }
 }
 
@@ -359,14 +372,14 @@ mod tests {
         // gives Q = Q_0 Q_1 ... Q_K.
         for p in &bf.panels {
             let m = n - p.r0;
-            let kb = p.v.cols();
+            let kb = p.kb();
             tseig_kernels::householder::larfb(
                 tseig_kernels::householder::Side::Right,
                 tseig_kernels::Trans::No,
                 n,
                 m,
                 kb,
-                p.v.as_slice(),
+                &p.v,
                 m,
                 &p.t,
                 kb,

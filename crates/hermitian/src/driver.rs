@@ -4,10 +4,11 @@
 //! two-stage pipeline with the tridiagonal eigensolve done entirely in
 //! *real* arithmetic (phases folded back in during the transformation).
 
-use crate::backtransform::{apply_q, HermScalar};
 use crate::stage1::he2hb_with;
 use crate::stage2::{reduce_scheduled, Scheduler};
 use std::time::Instant;
+use tseig_core::backtransform::apply_q_with_phases;
+use tseig_kernels::blas3::engine::GemmScalar;
 use tseig_kernels::scaling;
 use tseig_matrix::diagnostics::{Recorder, Recovery, SolveDiagnostics, VerifyLevel, VerifyReport};
 use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, Error, Result, C64};
@@ -150,7 +151,10 @@ impl HermitianEigen {
     /// screening ([`Error::InvalidData`]), norm scaling with eigenvalue
     /// rescaling on exit, scheduler and tridiagonal fallback chains, and
     /// optional verification — all reported in [`SolveDiagnostics`].
-    pub fn solve<T: HermScalar>(&self, a: &CMatrixG<T>) -> Result<HermitianResult<T>> {
+    pub fn solve<T: ComplexScalar + GemmScalar>(
+        &self,
+        a: &CMatrixG<T>,
+    ) -> Result<HermitianResult<T>> {
         if a.rows() != a.cols() {
             return Err(Error::DimensionMismatch(format!(
                 "matrix is {}x{}",
@@ -245,7 +249,7 @@ impl HermitianEigen {
             let mut z = CMatrixG::from_fn(e_real.rows(), e_real.cols(), |i, j| {
                 T::new(e_real[(i, j)], 0.0)
             });
-            apply_q(&chase.v2, &bf.panels, Some(&chase.phases), &mut z, ell, 0);
+            apply_q_with_phases(&chase.v2, &bf.panels, Some(&chase.phases), &mut z, ell, 0);
             timings.backtransform = t3.elapsed();
             Some(z)
         } else {

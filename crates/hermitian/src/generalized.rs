@@ -24,8 +24,8 @@
 //! pencil preamble is O(n^3) but a small constant next to the two-stage
 //! solve it feeds, and stays allocation-light.
 
-use crate::backtransform::HermScalar;
 use crate::driver::{HermitianEigen, HermitianResult, VERIFY_BOUND};
+use tseig_kernels::blas3::engine::GemmScalar;
 use tseig_kernels::scaling::{safe_scale_factor, scale_cmatrix, screen_hermitian};
 use tseig_matrix::diagnostics::{Recorder, Recovery, VerifyLevel, VerifyReport};
 use tseig_matrix::{chaos, CMatrixG, ComplexScalar, Error, Result};
@@ -164,7 +164,7 @@ pub fn zhegst<T: ComplexScalar>(a: &CMatrixG<T>, l: &CMatrixG<T>) -> CMatrixG<T>
 /// two-stage pipeline configured in `opts` for the standard stage —
 /// `CMatrix` gives the `zhegv`-equivalent solve, `CMatrixG<C32>` the
 /// `chegv`-equivalent one. Returned eigenvectors satisfy `X^H B X = I`.
-pub fn solve_generalized<T: HermScalar>(
+pub fn solve_generalized<T: ComplexScalar + GemmScalar>(
     a: &CMatrixG<T>,
     b: &CMatrixG<T>,
     opts: &HermitianEigen,

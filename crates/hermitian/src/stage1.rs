@@ -1,26 +1,22 @@
 //! Stage 1 (Hermitian): dense to Hermitian band (`he2hb`).
 //!
-//! Mirror of `tseig_core::stage1::sy2sb` in complex arithmetic: QR-factor
-//! each sub-panel, apply `Q = I - V T V^H` two-sided via the Hermitian
-//! rank-2k form
+//! Mirror of `tseig_core::stage1::sy2sb` on the same generic kernels:
+//! `geqrf` each sub-panel, apply `Q = I - V T V^H` two-sided via the
+//! Hermitian rank-2k form
 //!
 //! ```text
 //! W = A V T,  M = V^H W,  X = W - 1/2 V (T^H M),
 //! A <- A - V X^H - X V^H            (her2k)
 //! ```
+//!
+//! The panels are the real pipeline's [`Q1Panel`] store at the complex
+//! element type, so the one back-transformation applies them.
 
-use crate::ckernels::{zgemm, zgeqr2, zhemm_lower_left, zher2k_lower, zlarft, Op};
+use tseig_core::stage1::Q1Panel;
 use tseig_kernels::blas3::engine::GemmScalar;
+use tseig_kernels::blas3::{gemm_par, symm_lower_left, syr2k_lower, Trans};
+use tseig_kernels::qr::{extract_v_t_vec, geqrf_ws, QrWs};
 use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, C64};
-
-/// One panel's block reflector, acting on rows `r0..n`.
-pub struct Q1PanelC<T: ComplexScalar = C64> {
-    pub r0: usize,
-    /// `(n - r0) x kb`, explicit unit diagonal.
-    pub v: CMatrixG<T>,
-    /// `kb x kb` upper triangular, clean lower part.
-    pub t: Vec<T>,
-}
 
 /// Result of the Hermitian band reduction. The band is kept as a dense
 /// Hermitian matrix with entries zeroed outside the band (complex band
@@ -28,7 +24,7 @@ pub struct Q1PanelC<T: ComplexScalar = C64> {
 /// while stage 2 still only touches band-window blocks).
 pub struct BandFormC<T: ComplexScalar = C64> {
     pub band: CMatrixG<T>,
-    pub panels: Vec<Q1PanelC<T>>,
+    pub panels: Vec<Q1Panel<T>>,
     pub nb: usize,
 }
 
@@ -57,6 +53,7 @@ pub fn he2hb_with<T: ComplexScalar + GemmScalar>(
     a.hermitize_from_lower();
     let lda = a.ld();
     let mut panels = Vec::new();
+    let mut qr = QrWs::new();
 
     let mut j0 = 0usize;
     while j0 + nb < n {
@@ -65,20 +62,31 @@ pub fn he2hb_with<T: ComplexScalar + GemmScalar>(
         let m = n - r0;
         let kb = nb.min(m);
         let mut tau = vec![T::ZERO; kb];
-        {
-            let panel = &mut a.as_mut_slice()[r0 + j0 * lda..];
-            zgeqr2(m, nb, panel, lda, &mut tau);
-        }
+        geqrf_ws(
+            m,
+            nb,
+            &mut a.as_mut_slice()[r0 + j0 * lda..],
+            lda,
+            &mut tau,
+            nb,
+            &mut qr,
+        );
         // Extract clean V and T.
-        let mut v = CMatrixG::zeros(m, kb);
-        for col in 0..kb {
-            v[(col, col)] = T::ONE;
-            for r in col + 1..m {
-                v[(r, col)] = a.as_slice()[r0 + r + (j0 + col) * lda];
-            }
-        }
-        let mut t = vec![T::ZERO; kb * kb];
-        zlarft(m, kb, v.as_slice(), m, &tau, &mut t, kb);
+        let mut p = Q1Panel {
+            r0,
+            rows: m,
+            v: Vec::new(),
+            t: Vec::new(),
+        };
+        extract_v_t_vec(
+            &a.as_slice()[r0 + j0 * lda..],
+            lda,
+            m,
+            kb,
+            &tau,
+            &mut p.v,
+            &mut p.t,
+        );
         // Zero the annihilated part below the R factor, and mirror the
         // panel's new band block into the upper triangle.
         for jj in 0..nb {
@@ -92,8 +100,8 @@ pub fn he2hb_with<T: ComplexScalar + GemmScalar>(
                 a[(j0 + jj, i)] = val.conj();
             }
         }
-        two_sided_update(&mut a, r0, &v, &t);
-        panels.push(Q1PanelC { r0, v, t });
+        two_sided_update(&mut a, r0, &p.v, kb, &p.t);
+        panels.push(p);
         j0 += nb;
     }
 
@@ -112,110 +120,98 @@ pub fn he2hb_with<T: ComplexScalar + GemmScalar>(
     })
 }
 
-/// `A2 <- Q^H A2 Q` on the trailing block at `r0` (Hermitian rank-2k).
+/// `A2 <- Q^H A2 Q` on the trailing block at `r0` (Hermitian rank-2k),
+/// `V` the `m x kb` reflector block.
 fn two_sided_update<T: ComplexScalar + GemmScalar>(
     a: &mut CMatrixG<T>,
     r0: usize,
-    v: &CMatrixG<T>,
+    v: &[T],
+    kb: usize,
     t: &[T],
 ) {
     let n = a.rows();
     let lda = a.ld();
     let m = n - r0;
-    let kb = v.cols();
     if m == 0 || kb == 0 {
         return;
     }
+    let (one, zero) = (T::ONE, T::ZERO);
     // VT = V T.
-    let mut vt = CMatrixG::zeros(m, kb);
-    zgemm(
-        Op::No,
-        Op::No,
+    let mut vt = vec![zero; m * kb];
+    gemm_par(
+        Trans::No,
+        Trans::No,
         m,
         kb,
         kb,
-        T::ONE,
-        v.as_slice(),
+        one,
+        v,
         m,
         t,
         kb,
-        T::ZERO,
-        vt.as_mut_slice(),
+        zero,
+        &mut vt,
         m,
     );
     // W = A2 VT (Hermitian multiply).
-    let mut w = CMatrixG::zeros(m, kb);
-    {
-        let a2 = &a.as_slice()[r0 + r0 * lda..];
-        zhemm_lower_left(
-            m,
-            kb,
-            T::ONE,
-            a2,
-            lda,
-            vt.as_slice(),
-            m,
-            T::ZERO,
-            w.as_mut_slice(),
-            m,
-        );
-    }
+    let mut w = vec![zero; m * kb];
+    let a2 = &a.as_slice()[r0 + r0 * lda..];
+    symm_lower_left(m, kb, one, a2, lda, &vt, m, zero, &mut w, m);
     // M = V^H W.
-    let mut mm = vec![T::ZERO; kb * kb];
-    zgemm(
-        Op::ConjTrans,
-        Op::No,
+    let mut mm = vec![zero; kb * kb];
+    gemm_par(
+        Trans::Yes,
+        Trans::No,
         kb,
         kb,
         m,
-        T::ONE,
-        v.as_slice(),
+        one,
+        v,
         m,
-        w.as_slice(),
+        &w,
         m,
-        T::ZERO,
+        zero,
         &mut mm,
         kb,
     );
     // TM = T^H M.
-    let mut tm = vec![T::ZERO; kb * kb];
-    zgemm(
-        Op::ConjTrans,
-        Op::No,
+    let mut tm = vec![zero; kb * kb];
+    gemm_par(
+        Trans::Yes,
+        Trans::No,
         kb,
         kb,
         kb,
-        T::ONE,
+        one,
         t,
         kb,
         &mm,
         kb,
-        T::ZERO,
+        zero,
         &mut tm,
         kb,
     );
     // X = W - 1/2 V TM.
     let mut x = w;
-    zgemm(
-        Op::No,
-        Op::No,
+    let half = T::new(-0.5, 0.0);
+    gemm_par(
+        Trans::No,
+        Trans::No,
         m,
         kb,
         kb,
-        T::new(-0.5, 0.0),
-        v.as_slice(),
+        half,
+        v,
         m,
         &tm,
         kb,
-        T::ONE,
-        x.as_mut_slice(),
+        one,
+        &mut x,
         m,
     );
     // A2 -= V X^H + X V^H.
-    {
-        let a2 = &mut a.as_mut_slice()[r0 + r0 * lda..];
-        zher2k_lower(m, kb, -1.0, v.as_slice(), m, x.as_slice(), m, a2, lda);
-    }
+    let a2 = &mut a.as_mut_slice()[r0 + r0 * lda..];
+    syr2k_lower(m, kb, -one, v, m, &x, m, one, a2, lda);
     // Restore exact Hermitian symmetry of the trailing block (the upper
     // triangle is stale after the lower-only update).
     for j in r0..n {
@@ -230,62 +226,26 @@ fn two_sided_update<T: ComplexScalar + GemmScalar>(
 mod tests {
     use super::*;
     use crate::validate::{rand_hermitian, real_embedding_eigenvalues};
-    use tseig_matrix::{c64, CMatrix};
+    use tseig_matrix::CMatrix;
 
     /// Materialize Q1 = Q_0 Q_1 ... explicitly (tests only).
     pub(crate) fn form_q1(bf: &BandFormC, n: usize) -> CMatrix {
         let mut q = CMatrix::identity(n);
         for p in &bf.panels {
-            // Q <- Q (I - V T V^H): W = Q[:, r0..] V; Q[:, r0..] -= W T V^H.
-            let m = n - p.r0;
-            let kb = p.v.cols();
-            let mut w = CMatrix::zeros(n, kb);
-            let ldq = q.ld();
-            zgemm(
-                Op::No,
-                Op::No,
+            // Q <- Q (I - V T V^H).
+            let (m, kb) = (p.rows, p.kb());
+            tseig_kernels::householder::larfb(
+                tseig_kernels::householder::Side::Right,
+                Trans::No,
                 n,
-                kb,
                 m,
-                C64::ONE,
-                &q.as_slice()[p.r0 * ldq..],
-                ldq,
-                p.v.as_slice(),
+                kb,
+                &p.v,
                 m,
-                C64::ZERO,
-                w.as_mut_slice(),
-                n,
-            );
-            let mut wt = CMatrix::zeros(n, kb);
-            zgemm(
-                Op::No,
-                Op::No,
-                n,
-                kb,
-                kb,
-                C64::ONE,
-                w.as_slice(),
-                n,
                 &p.t,
                 kb,
-                C64::ZERO,
-                wt.as_mut_slice(),
+                &mut q.as_mut_slice()[p.r0 * n..],
                 n,
-            );
-            zgemm(
-                Op::No,
-                Op::ConjTrans,
-                n,
-                m,
-                kb,
-                c64(-1.0, 0.0),
-                wt.as_slice(),
-                n,
-                p.v.as_slice(),
-                m,
-                C64::ONE,
-                &mut q.as_mut_slice()[p.r0 * ldq..],
-                ldq,
             );
         }
         q

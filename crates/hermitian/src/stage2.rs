@@ -2,7 +2,7 @@
 //!
 //! The same three-kernel column-wise chase as the real pipeline
 //! ([`zhbceu`]/[`zhbrel`]/[`zhblru`], delayed annihilation), in complex
-//! arithmetic. `zlarfg` makes every annihilation result *real*, so the
+//! arithmetic. `larfg` makes every annihilation result *real*, so the
 //! final tridiagonal is real up to the entries no sweep ever touches;
 //! [`phase_fold`] rotates those real too with a unitary diagonal that is
 //! handed to the back-transformation.
@@ -21,8 +21,9 @@
 //! declared footprints are identical, and every schedule is bit-identical
 //! to the serial order.
 
-use crate::ckernels::{zlarf_left, zlarf_right, zlarfg};
 use std::marker::PhantomData;
+use tseig_core::V2Set;
+use tseig_kernels::householder::{larf_left, larf_right, larfg};
 use tseig_matrix::{CMatrixG, ComplexScalar, Ctrl, SymTridiagonal, C64};
 use tseig_runtime::chase::{self, touch_band, Builder, Task};
 use tseig_runtime::Access;
@@ -33,59 +34,13 @@ pub use tseig_runtime::chase::Scheduler;
 /// One stored stage-2 reflector: `(start row, tau, v)` with `v[0] == 1`.
 type ReflectorC<T = C64> = (usize, T, Vec<T>);
 
-/// The complex reflector set of the chase, indexed `(sweep, depth)`.
-/// Reflector `(s, k)` starts at global row `s + 1 + k * nb` (clamped at
-/// the matrix edge) — the same geometry as the real `V2Set`.
-pub struct V2SetC<T: ComplexScalar = C64> {
-    n: usize,
-    nb: usize,
-    sweeps: Vec<Vec<ReflectorC<T>>>,
-}
-
-impl<T: ComplexScalar> V2SetC<T> {
-    fn new(n: usize, nb: usize) -> Self {
-        let sweeps = (0..n.saturating_sub(2))
-            .map(|s| vec![(0usize, T::ZERO, Vec::new()); chase::sym_depth_of_sweep(n, nb, s)])
-            .collect();
-        V2SetC { n, nb, sweeps }
-    }
-
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    pub fn nb(&self) -> usize {
-        self.nb
-    }
-
-    pub fn sweep_count(&self) -> usize {
-        self.sweeps.len()
-    }
-
-    pub fn sweep(&self, s: usize) -> &[ReflectorC<T>] {
-        &self.sweeps[s]
-    }
-
-    /// Total count of non-trivial generated reflectors (diagnostics).
-    pub fn reflector_count(&self) -> usize {
-        self.sweeps
-            .iter()
-            .map(|s| s.iter().filter(|(_, _, v)| !v.is_empty()).count())
-            .sum()
-    }
-
-    fn store(&mut self, s: usize, k: usize, start: usize, tau: T, v: Vec<T>) {
-        self.sweeps[s][k] = (start, tau, v);
-    }
-}
-
 /// Result of the Hermitian chase: real tridiagonal + reflectors + the
 /// unitary diagonal phases folded out of the off-diagonals. The
 /// tridiagonal is always `f64` — the real solver downstream runs at
 /// full precision regardless of the complex element width.
 pub struct ChaseResultC<T: ComplexScalar = C64> {
     pub tridiagonal: SymTridiagonal,
-    pub v2: V2SetC<T>,
+    pub v2: V2Set<T>,
     /// `phases[j]` scales row `j` of the real tridiagonal eigenvectors:
     /// eigenvectors of the complex tridiagonal are `diag(phases) * E`.
     pub phases: Vec<T>,
@@ -100,7 +55,7 @@ pub struct ChaseResultC<T: ComplexScalar = C64> {
 // debug builds.
 
 /// Kernel 1 (`zHBCEU`): start sweep `s` — annihilate column `s` below
-/// the first sub-diagonal (to a *real* `beta`, courtesy of `zlarfg`) and
+/// the first sub-diagonal (to a *real* `beta`, courtesy of `larfg`) and
 /// update the symmetric diamond block two-sided. Returns the generated
 /// reflector `(start_row, tau, v)`.
 pub fn zhbceu<T: ComplexScalar>(a: &mut CMatrixG<T>, s: usize, b: usize) -> ReflectorC<T> {
@@ -113,7 +68,7 @@ pub fn zhbceu<T: ComplexScalar>(a: &mut CMatrixG<T>, s: usize, b: usize) -> Refl
     let mut v: Vec<T> = (0..l).map(|i| a[(r0 + i, s)]).collect();
     let (beta, tau) = {
         let (head, tail) = v.split_at_mut(1);
-        zlarfg(head[0], tail)
+        larfg(head[0], tail)
     };
     v[0] = T::ONE;
     a[(r0, s)] = T::new(beta, 0.0);
@@ -157,7 +112,7 @@ pub fn zhbrel<T: ComplexScalar>(
     }
     let mut work = vec![T::ZERO; rl.max(pl)];
     // Right-apply the previous reflector (creates the bulge).
-    zlarf_right(pv, ptau, rl, pl, &mut blk, rl, &mut work);
+    larf_right(pv, ptau, rl, pl, &mut blk, rl, &mut work);
     if rl < 2 {
         write_back_rect(a, br0, rl, pr0, pl, &blk);
         return None;
@@ -166,14 +121,14 @@ pub fn zhbrel<T: ComplexScalar>(
     let mut nv = blk[..rl].to_vec();
     let (nbeta, ntau) = {
         let (head, tail) = nv.split_at_mut(1);
-        zlarfg(head[0], tail)
+        larfg(head[0], tail)
     };
     nv[0] = T::ONE;
     blk[0] = T::new(nbeta, 0.0);
     blk[1..rl].fill(T::ZERO);
     // Left-apply the new reflector's H^H to the remaining columns.
     if pl > 1 {
-        zlarf_left(&nv, ntau.conj(), rl, pl - 1, &mut blk[rl..], rl, &mut work);
+        larf_left(&nv, ntau.conj(), rl, pl - 1, &mut blk[rl..], rl, &mut work);
     }
     write_back_rect(a, br0, rl, pr0, pl, &blk);
     Some((br0, ntau, nv))
@@ -204,7 +159,7 @@ pub fn reduce_with<T: ComplexScalar>(
 ) -> tseig_matrix::Result<ChaseResultC<T>> {
     let n = a.rows();
     let b = nb.max(1);
-    let mut v2 = V2SetC::new(n, b);
+    let mut v2 = V2Set::new(n, b);
     if n > 2 && b > 1 {
         for s in 0..n - 2 {
             ctrl.checkpoint()?;
@@ -219,7 +174,7 @@ pub fn reduce_with<T: ComplexScalar>(
     })
 }
 
-fn run_sweep<T: ComplexScalar>(a: &mut CMatrixG<T>, s: usize, b: usize, v2: &mut V2SetC<T>) {
+fn run_sweep<T: ComplexScalar>(a: &mut CMatrixG<T>, s: usize, b: usize, v2: &mut V2Set<T>) {
     let mut k = 0usize;
     // tidy: allow(checkpoint-loop) -- per-sweep reflector chain; reduce_with polls once per sweep
     while run_step(a, v2, b, s, k) {
@@ -238,7 +193,7 @@ fn run_sweep<T: ComplexScalar>(a: &mut CMatrixG<T>, s: usize, b: usize, v2: &mut
 /// storing nothing, when the chase ran off the matrix.
 fn run_step<T: ComplexScalar>(
     a: &mut CMatrixG<T>,
-    v2: &mut V2SetC<T>,
+    v2: &mut V2Set<T>,
     b: usize,
     s: usize,
     k: usize,
@@ -248,7 +203,7 @@ fn run_step<T: ComplexScalar>(
         zhbceu(a, s, b)
     } else {
         chase::touch_slot::<HermitianChase<T>>(n, b, s, k - 1, Access::Read);
-        let (pr0, ptau, pv) = &v2.sweeps[s][k - 1];
+        let (pr0, ptau, pv) = &v2.sweep(s)[k - 1];
         let Some((start, tau, v)) = zhbrel(a, b, (*pr0, *ptau, pv)) else {
             return false;
         };
@@ -256,7 +211,7 @@ fn run_step<T: ComplexScalar>(
         (start, tau, v)
     };
     chase::touch_slot::<HermitianChase<T>>(n, b, s, k, Access::Write);
-    v2.store(s, k, start, tau, v);
+    v2.store(s, k, start, tau, &v);
     true
 }
 
@@ -265,7 +220,7 @@ fn run_step<T: ComplexScalar>(
 // ---------------------------------------------------------------------
 
 /// The Hermitian chase as the engine sees it: the dense Hermitian store,
-/// the [`V2SetC`] slots, and the `zhbceu` / `zhbrel`+`zhblru` kernels.
+/// the [`V2Set`] slots, and the `zhbceu` / `zhbrel`+`zhblru` kernels.
 /// The chase geometry is the real one, so the footprints are too.
 pub struct HermitianChase<T = C64>(PhantomData<T>);
 
@@ -275,7 +230,7 @@ pub struct HermitianChase<T = C64>(PhantomData<T>);
 // declares.
 unsafe impl<T: ComplexScalar> Builder for HermitianChase<T> {
     type Store = CMatrixG<T>;
-    type Slots = V2SetC<T>;
+    type Slots = V2Set<T>;
     type Output = ChaseResultC<T>;
     const TAGS: [&'static str; 2] = ["zhbceu", "zhbrel+zhblru"];
 
@@ -289,15 +244,15 @@ unsafe impl<T: ComplexScalar> Builder for HermitianChase<T> {
         (t.k < chase::sym_depth_of_sweep(n, b, t.s), t.k > 0)
     }
 
-    fn new_slots(n: usize, b: usize) -> V2SetC<T> {
-        V2SetC::new(n, b)
+    fn new_slots(n: usize, b: usize) -> V2Set<T> {
+        V2Set::new(n, b)
     }
 
-    fn run_task(a: &mut CMatrixG<T>, v2: &mut V2SetC<T>, b: usize, t: Task) {
+    fn run_task(a: &mut CMatrixG<T>, v2: &mut V2Set<T>, b: usize, t: Task) {
         run_step(a, v2, b, t.s, t.k);
     }
 
-    fn finish(a: CMatrixG<T>, v2: V2SetC<T>) -> ChaseResultC<T> {
+    fn finish(a: CMatrixG<T>, v2: V2Set<T>) -> ChaseResultC<T> {
         let (tridiagonal, phases) = phase_fold(&a);
         ChaseResultC {
             tridiagonal,
@@ -336,8 +291,8 @@ fn two_sided_window<T: ComplexScalar>(a: &mut CMatrixG<T>, r0: usize, l: usize, 
         }
     }
     let mut work = vec![T::ZERO; l];
-    zlarf_left(v, tau.conj(), l, l, &mut blk, l, &mut work);
-    zlarf_right(v, tau, l, l, &mut blk, l, &mut work);
+    larf_left(v, tau.conj(), l, l, &mut blk, l, &mut work);
+    larf_right(v, tau, l, l, &mut blk, l, &mut work);
     for j in 0..l {
         for i in 0..l {
             a[(r0 + i, r0 + j)] = blk[i + j * l];
@@ -447,7 +402,7 @@ mod tests {
         for s in (0..r.v2.sweep_count()).rev() {
             for (start, tau, v) in r.v2.sweep(s).iter().rev() {
                 let ldq = q2.ld();
-                zlarf_left(
+                larf_left(
                     v,
                     *tau,
                     v.len(),

@@ -1,8 +1,9 @@
 //! Property tests for the Hermitian pipeline.
 
 use proptest::prelude::*;
-use tseig_hermitian::ckernels::{zgemm, zgemm_oracle, Op};
 use tseig_hermitian::{validate, HermitianEigen};
+use tseig_kernels::blas3::{engine::gemm_par, Op};
+use tseig_kernels::reference::gemm_oracle;
 use tseig_matrix::{c64, norms, C64};
 
 /// Deterministic pseudo-random complex value from an index mix.
@@ -53,9 +54,9 @@ proptest! {
             let beta = cval(seed ^ 0x77, 2);
 
             let mut packed = c0.clone();
-            zgemm(opa, opb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut packed, ldc);
+            gemm_par(opa, opb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut packed, ldc);
             let mut naive = c0.clone();
-            zgemm_oracle(opa, opb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut naive, ldc);
+            gemm_oracle(opa, opb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut naive, ldc);
 
             let scale = k as f64;
             for j in 0..n {
@@ -101,14 +102,15 @@ proptest! {
 }
 
 /// End-to-end solve at an `n` that is *not* divisible by the fused
-/// back-transform's column-panel width (`DEFAULT_PANEL_COLS = 64`), so
+/// back-transform's column-panel width (64 at `C64`), so
 /// the panel loop runs a full panel plus a ragged tail — against the
 /// independent `2n x 2n` real-embedding oracle.
 #[test]
 fn end_to_end_at_ragged_panel_width() {
     let n = 67;
-    assert!(n > tseig_hermitian::backtransform::DEFAULT_PANEL_COLS);
-    assert!(n % tseig_hermitian::backtransform::DEFAULT_PANEL_COLS != 0);
+    let pc = tseig_core::backtransform::default_panel_cols::<C64>();
+    assert!(n > pc);
+    assert!(n % pc != 0);
     let a = validate::rand_hermitian(n, 2024);
     let want = validate::real_embedding_eigenvalues(&a);
     let r = HermitianEigen::new().nb(8).solve(&a).unwrap();

@@ -5,6 +5,7 @@
 
 use crate::contract;
 use crate::flops::{add, add_bytes, Level};
+use tseig_matrix::ComplexScalar;
 
 /// `x . y` (unit stride).
 #[inline]
@@ -73,20 +74,24 @@ pub fn scal(alpha: f64, x: &mut [f64]) {
 }
 
 /// Euclidean norm with scaling against overflow/underflow
-/// (LAPACK `dnrm2` semantics).
-pub fn nrm2(x: &[f64]) -> f64 {
-    add(Level::L1, 2 * x.len() as u64);
-    add_bytes(Level::L1, 8 * x.len() as u64);
+/// (LAPACK `dnrm2` / `dznrm2` semantics): a complex vector is scanned as
+/// the real vector of its components, zero components skipped, so at
+/// `f64` (`im() == 0`) this is exactly the real scan.
+pub fn nrm2<T: ComplexScalar>(x: &[T]) -> f64 {
+    add(Level::L1, T::MULADD_FLOPS * x.len() as u64);
+    add_bytes(Level::L1, T::BYTES * x.len() as u64);
     let mut scale = 0.0f64;
     let mut ssq = 1.0f64;
     for &v in x {
-        if v != 0.0 {
-            let a = v.abs();
-            if scale < a {
-                ssq = 1.0 + ssq * (scale / a).powi(2);
-                scale = a;
-            } else {
-                ssq += (a / scale).powi(2);
+        for c in [v.re(), v.im()] {
+            if c != 0.0 {
+                let a = c.abs();
+                if scale < a {
+                    ssq = 1.0 + ssq * (scale / a).powi(2);
+                    scale = a;
+                } else {
+                    ssq += (a / scale).powi(2);
+                }
             }
         }
     }
@@ -140,7 +145,7 @@ mod tests {
     #[test]
     fn nrm2_basic_and_extreme() {
         assert!((nrm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(nrm2(&[]), 0.0);
+        assert_eq!(nrm2::<f64>(&[]), 0.0);
         assert_eq!(nrm2(&[0.0, 0.0]), 0.0);
         // Values whose squares would overflow naively.
         let big = 1e200;
@@ -150,6 +155,11 @@ mod tests {
         let small = 1e-200;
         let n = nrm2(&[small, small]);
         assert!((n - small * 2.0f64.sqrt()).abs() / n < 1e-15);
+        // Complex: the norm of the component vector, scaled the same way.
+        let z = [tseig_matrix::c64(3.0, 4.0), tseig_matrix::c64(0.0, 12.0)];
+        assert!((nrm2(&z) - 13.0).abs() < 1e-15);
+        let zb = [tseig_matrix::c64(big, -big)];
+        assert!((nrm2(&zb) - big * 2.0f64.sqrt()).abs() / nrm2(&zb) < 1e-15);
     }
 
     #[test]

@@ -50,24 +50,27 @@ pub mod simd;
 
 use crate::contract;
 use crate::flops::{add, add_bytes, Level};
+use engine::{scale_c, GemmScalar};
 use rayon::prelude::*;
 use simd::MicroKernel;
+use tseig_matrix::{ComplexScalar, Scalar};
 
-/// Transpose flag, LAPACK-style.
+/// Transpose flag, LAPACK-style. The kernels of this module and of
+/// `householder`/`qr` are generic over the element type with Hermitian
+/// semantics: `Yes` is the conjugate transpose, which is the plain
+/// transpose on the real types.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Trans {
     /// Use the matrix as stored.
     No,
-    /// Use the transpose.
+    /// Use the (conjugate) transpose.
     Yes,
 }
 
-/// Operand op of the element-type-generic engine: the *one* shared
-/// transpose/conjugate vocabulary of the project. The real pipeline's
-/// LAPACK-style [`Trans`] maps into it losslessly (`conj` is the
-/// identity on `f64`, so `Trans::Yes` ≡ `Op::Trans` ≡ `Op::ConjTrans`
-/// there); the Hermitian pipeline re-exports this enum as its operand
-/// op so both stacks speak the same dialect.
+/// Operand op of the element-type-generic engine: the transpose /
+/// conjugate vocabulary of [`engine`]. [`Trans`] maps into it per
+/// element type (see [`op`]): `Yes` is `ConjTrans` on the complex types
+/// and `Trans` on the real ones, where the two coincide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
     /// Use the matrix as stored.
@@ -79,13 +82,14 @@ pub enum Op {
     ConjTrans,
 }
 
-impl From<Trans> for Op {
-    #[inline]
-    fn from(t: Trans) -> Op {
-        match t {
-            Trans::No => Op::No,
-            Trans::Yes => Op::Trans,
-        }
+/// The engine op of a [`Trans`] flag at element type `T`: `Yes` is the
+/// conjugate transpose, packed as the plain transpose on real types.
+#[inline]
+pub fn op<T: Scalar>(t: Trans) -> Op {
+    match t {
+        Trans::No => Op::No,
+        Trans::Yes if T::IS_COMPLEX => Op::ConjTrans,
+        Trans::Yes => Op::Trans,
     }
 }
 
@@ -108,18 +112,18 @@ fn op_dims(trans: Trans, rows_of_op: usize, cols_of_op: usize) -> (usize, usize)
 /// coverage, leading-dimension bounds, in/out alias rejection, and
 /// (`paranoid`) input poison.
 #[allow(clippy::too_many_arguments)]
-fn gemm_contract(
+fn gemm_contract<T: Scalar>(
     kernel: &str,
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    a: &[f64],
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &[f64],
+    c: &[T],
     ldc: usize,
 ) {
     if !contract::enabled() {
@@ -140,35 +144,36 @@ fn gemm_contract(
 /// operand is read from memory and written to its packed buffer once per
 /// cache block that revisits it (`A` once per `jc` panel, `B` once in
 /// total), and `C` is read+written once per rank-`KC` update.
-fn gemm_bytes(m: usize, n: usize, k: usize) -> u64 {
+fn gemm_bytes<T: Scalar>(m: usize, n: usize, k: usize) -> u64 {
     let njc = n.div_ceil(NC).max(1) as u64;
     let npc = k.div_ceil(KC).max(1) as u64;
     let (m, n, k) = (m as u64, n as u64, k as u64);
-    8 * (2 * m * k * njc + 2 * k * n + 2 * m * n * npc)
+    T::BYTES * (2 * m * k * njc + 2 * k * n + 2 * m * n * npc)
 }
 
-/// `C <- alpha op(A) op(B) + beta C`.
+/// `C <- alpha op(A) op(B) + beta C`, at any engine element type
+/// (`op(X) = X^H` for `Trans::Yes`, see [`Trans`]).
 ///
 /// `op(A)` is `m x k`, `op(B)` is `k x n`, `C` is `m x n`; all column-major
 /// with the given leading dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm(
+pub fn gemm<T: GemmScalar>(
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     gemm_with_kernel(
-        simd::selected(),
+        T::kernel(),
         transa,
         transb,
         m,
@@ -187,30 +192,30 @@ pub fn gemm(
 
 /// [`gemm`] forced through a specific dispatch path. The public entry
 /// for differential tests and benches that compare ISA paths in one
-/// process; production code goes through [`gemm`], which picks
-/// [`simd::selected`].
+/// process; production code goes through [`gemm`], which picks the
+/// type's selected kernel ([`simd::selected`] at `f64`).
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_with_kernel(
-    kern: &MicroKernel,
+pub fn gemm_with_kernel<T: GemmScalar>(
+    kern: &MicroKernel<T>,
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     gemm_contract("gemm", transa, transb, m, n, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * m * n * k) as u64);
-    add_bytes(Level::L3, gemm_bytes(m, n, k));
+    add(Level::L3, T::MULADD_FLOPS * (m * n * k) as u64);
+    add_bytes(Level::L3, gemm_bytes::<T>(m, n, k));
     scale_c(beta, m, n, c, ldc);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
+    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
         return;
     }
     gemm_into_with(kern, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
@@ -220,22 +225,22 @@ pub fn gemm_with_kernel(
 /// accounting. Shared by every public entry point (serial and parallel,
 /// `gemm` and the structured kernels built on it).
 #[allow(clippy::too_many_arguments)]
-fn gemm_into(
+fn gemm_into<T: GemmScalar>(
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
 ) {
     gemm_into_with(
-        simd::selected(),
+        T::kernel(),
         transa,
         transb,
         m,
@@ -252,31 +257,30 @@ fn gemm_into(
 }
 
 /// [`gemm_into`] on an explicit microkernel: the generic packed nest in
-/// [`engine`] monomorphized at `f64`. The nest, the packing formats and
-/// the `KC` split are byte-for-byte the pre-generic ones (`Trans` maps
-/// to `Op` and `f64::conj` is the identity), so every dispatch path
-/// stays bitwise identical across the refactor — the differential
-/// suite in `tests/simd_dispatch.rs` pins this.
+/// [`engine`]. At `f64` the nest, the packing formats and the `KC`
+/// split are byte-for-byte the pre-generic ones (`Trans::Yes` maps to
+/// `Op::Trans`), so every dispatch path stays bitwise identical — the
+/// differential suite in `tests/simd_dispatch.rs` pins this.
 #[allow(clippy::too_many_arguments)]
-fn gemm_into_with(
-    kern: &MicroKernel,
+fn gemm_into_with<T: GemmScalar>(
+    kern: &MicroKernel<T>,
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
 ) {
     engine::gemm_into_with(
         kern,
-        transa.into(),
-        transb.into(),
+        op::<T>(transa),
+        op::<T>(transb),
         m,
         n,
         k,
@@ -290,10 +294,6 @@ fn gemm_into_with(
     );
 }
 
-fn scale_c(beta: f64, m: usize, n: usize, c: &mut [f64], ldc: usize) {
-    engine::scale_c(beta, m, n, c, ldc);
-}
-
 /// Parallel [`gemm`] over the packed loop nest. Wide problems split the
 /// `jc` loop: each worker owns a disjoint `NR`-aligned column panel of
 /// `C` and packs its own panels into thread-local buffers. Tall-narrow
@@ -303,19 +303,19 @@ fn scale_c(beta: f64, m: usize, n: usize, c: &mut [f64], ldc: usize) {
 /// kernel for small problems where the fork/join overhead would
 /// dominate.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_par(
+pub fn gemm_par<T: GemmScalar>(
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     let work = m.saturating_mul(n).saturating_mul(k);
@@ -333,26 +333,26 @@ pub fn gemm_par(
 /// exercise the panel arithmetic of both parallel splits deterministically
 /// regardless of the machine's thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_par_with(
+pub fn gemm_par_with<T: GemmScalar>(
     threads: usize,
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     gemm_contract("gemm_par", transa, transb, m, n, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * m * n * k) as u64);
-    add_bytes(Level::L3, gemm_bytes(m, n, k));
-    if alpha == 0.0 || k == 0 {
+    add(Level::L3, T::MULADD_FLOPS * (m * n * k) as u64);
+    add_bytes(Level::L3, gemm_bytes::<T>(m, n, k));
+    if alpha == T::ZERO || k == 0 {
         scale_c(beta, m, n, c, ldc);
         return;
     }
@@ -363,10 +363,10 @@ pub fn gemm_par_with(
     // accumulators) is element-type independent and lives once in the
     // generic engine.
     engine::par_nest(
-        simd::selected(),
+        T::kernel(),
         threads,
-        transa.into(),
-        transb.into(),
+        op::<T>(transa),
+        op::<T>(transb),
         m,
         n,
         k,
@@ -445,14 +445,14 @@ pub fn syrk_lower(
 }
 
 /// Scale the lower triangle (diagonal included) of an order-`n` matrix.
-fn scale_lower(beta: f64, n: usize, c: &mut [f64], ldc: usize) {
-    if beta == 1.0 {
+fn scale_lower<T: Scalar>(beta: T, n: usize, c: &mut [T], ldc: usize) {
+    if beta == T::ONE {
         return;
     }
     for j in 0..n {
         let col = &mut c[j * ldc + j..j * ldc + n];
-        if beta == 0.0 {
-            col.fill(0.0);
+        if beta == T::ZERO {
+            col.fill(T::ZERO);
         } else {
             for v in col {
                 *v *= beta;
@@ -469,85 +469,45 @@ const TRI_JB: usize = 64;
 /// Traffic model shared by the serial and parallel `syr2k`: `A`/`B`
 /// each packed twice (once per `gemm` role), the `C` triangle
 /// read+written once per rank-`KC` update.
-fn syr2k_bytes(n: usize, k: usize) -> u64 {
+fn syr2k_bytes<T: Scalar>(n: usize, k: usize) -> u64 {
     let npc = k.div_ceil(KC).max(1) as u64;
-    8 * (4 * (n * k) as u64 + (n * n) as u64 * npc)
+    T::BYTES * (4 * (n * k) as u64 + (n * n) as u64 * npc)
 }
 
-/// Symmetric rank-2k update of the lower triangle:
-/// `C <- alpha (A B^T + B A^T) + beta C`, with `A`, `B` both `n x k`.
+/// Symmetric / Hermitian rank-2k update of the lower triangle
+/// (`dsyr2k` / `zher2k`):
+/// `C <- alpha A B^H + conj(alpha) B A^H + beta C`, with `A`, `B` both
+/// `n x k` (`^H` is `^T` on the real types). On the complex types the
+/// diagonal is kept exactly real, so `beta` must be real there.
 ///
 /// This is the trailing-matrix update of both the one-stage (`latrd` +
 /// `syr2k`) and the first stage of the two-stage reduction. Blocked:
 /// `TRI_JB`-wide diagonal blocks run the rank-1 kernel, the strictly
 /// sub-diagonal part of each column panel is two packed `gemm`s.
 #[allow(clippy::too_many_arguments)]
-pub fn syr2k_lower(
+pub fn syr2k_lower<T: ComplexScalar + GemmScalar>(
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     syr2k_contract("syr2k_lower", n, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * n * n * k) as u64);
-    add_bytes(Level::L3, syr2k_bytes(n, k));
+    add(Level::L3, T::MULADD_FLOPS * (n * n * k) as u64);
+    add_bytes(Level::L3, syr2k_bytes::<T>(n, k));
     scale_lower(beta, n, c, ldc);
-    if alpha == 0.0 || n == 0 || k == 0 {
+    if alpha == T::ZERO || n == 0 || k == 0 {
         return;
     }
     let mut j0 = 0;
     while j0 < n {
         let jn = TRI_JB.min(n - j0);
-        syr2k_diag(
-            jn,
-            k,
-            alpha,
-            &a[j0..],
-            lda,
-            &b[j0..],
-            ldb,
-            &mut c[j0 + j0 * ldc..],
-            ldc,
-        );
-        let rows_below = n - j0 - jn;
-        if rows_below > 0 {
-            let r0 = j0 + jn;
-            let cpanel = &mut c[r0 + j0 * ldc..];
-            gemm_into(
-                Trans::No,
-                Trans::Yes,
-                rows_below,
-                jn,
-                k,
-                alpha,
-                &a[r0..],
-                lda,
-                &b[j0..],
-                ldb,
-                cpanel,
-                ldc,
-            );
-            gemm_into(
-                Trans::No,
-                Trans::Yes,
-                rows_below,
-                jn,
-                k,
-                alpha,
-                &b[r0..],
-                ldb,
-                &a[j0..],
-                lda,
-                cpanel,
-                ldc,
-            );
-        }
+        syr2k_panel(n, k, alpha, a, lda, b, ldb, &mut c[j0 * ldc..], ldc, j0, jn);
         j0 += jn;
     }
 }
@@ -555,15 +515,15 @@ pub fn syr2k_lower(
 /// Entry contract shared by the serial and parallel `syr2k`: `A`, `B`
 /// are `n x k`, `C` covers an order-`n` triangle, nothing aliases `C`.
 #[allow(clippy::too_many_arguments)]
-fn syr2k_contract(
+fn syr2k_contract<T: Scalar>(
     kernel: &str,
     n: usize,
     k: usize,
-    a: &[f64],
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &[f64],
+    c: &[T],
     ldc: usize,
 ) {
     if !contract::enabled() {
@@ -578,27 +538,93 @@ fn syr2k_contract(
     contract::require_finite_mat(kernel, "b", b, n, k, ldb);
 }
 
-/// Rank-1-loop `syr2k` on a diagonal block (accumulate only; scaling and
-/// accounting are the callers' responsibility).
+/// One `TRI_JB`-wide column panel `j0..j0+jn` of the `syr2k` update
+/// (accumulate only; scaling and accounting are the callers'): the
+/// rank-1-loop diagonal block, then two packed `gemm`s for the rows
+/// below it. `cpanel` starts at column `j0` of `C`.
 #[allow(clippy::too_many_arguments)]
-fn syr2k_diag(
+fn syr2k_panel<T: ComplexScalar + GemmScalar>(
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &mut [f64],
+    cpanel: &mut [T],
+    ldc: usize,
+    j0: usize,
+    jn: usize,
+) {
+    syr2k_diag(
+        jn,
+        k,
+        alpha,
+        &a[j0..],
+        lda,
+        &b[j0..],
+        ldb,
+        &mut cpanel[j0..],
+        ldc,
+    );
+    let rows_below = n - j0 - jn;
+    if rows_below > 0 {
+        let r0 = j0 + jn;
+        gemm_into(
+            Trans::No,
+            Trans::Yes,
+            rows_below,
+            jn,
+            k,
+            alpha,
+            &a[r0..],
+            lda,
+            &b[j0..],
+            ldb,
+            &mut cpanel[r0..],
+            ldc,
+        );
+        gemm_into(
+            Trans::No,
+            Trans::Yes,
+            rows_below,
+            jn,
+            k,
+            alpha.conj(),
+            &b[r0..],
+            ldb,
+            &a[j0..],
+            lda,
+            &mut cpanel[r0..],
+            ldc,
+        );
+    }
+}
+
+/// Rank-1-loop `syr2k` on a diagonal block (accumulate only; scaling and
+/// accounting are the callers' responsibility). Snaps the diagonal's
+/// imaginary part to zero (a no-op on the real types).
+#[allow(clippy::too_many_arguments)]
+fn syr2k_diag<T: ComplexScalar>(
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
     ldc: usize,
 ) {
     for kk in 0..k {
         let acol = &a[kk * lda..kk * lda + n];
         let bcol = &b[kk * ldb..kk * ldb + n];
         for j in 0..n {
-            let ta = alpha * acol[j];
-            let tb = alpha * bcol[j];
-            if ta == 0.0 && tb == 0.0 {
+            // conj(alpha a_j) and alpha conj(b_j): the row-j factors of
+            // conj(alpha) B A^H and alpha A B^H.
+            let ta = (alpha * acol[j]).conj();
+            let tb = alpha * bcol[j].conj();
+            if ta == T::ZERO && tb == T::ZERO {
                 continue;
             }
             let ccol = &mut c[j * ldc..j * ldc + n];
@@ -607,22 +633,28 @@ fn syr2k_diag(
             }
         }
     }
+    if T::IS_COMPLEX {
+        for j in 0..n {
+            let d = &mut c[j + j * ldc];
+            *d = T::new(d.re(), 0.0);
+        }
+    }
 }
 
 /// Parallel [`syr2k_lower`]: column panels of the lower triangle are
 /// disjoint, one rayon task each; within a panel the sub-diagonal block
 /// runs the packed `gemm` with per-thread packing buffers.
 #[allow(clippy::too_many_arguments)]
-pub fn syr2k_lower_par(
+pub fn syr2k_lower_par<T: ComplexScalar + GemmScalar>(
     n: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     if n * n * k < 48 * 48 * 48 || rayon::current_num_threads() == 1 {
@@ -630,8 +662,8 @@ pub fn syr2k_lower_par(
         return;
     }
     syr2k_contract("syr2k_lower_par", n, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * n * n * k) as u64);
-    add_bytes(Level::L3, syr2k_bytes(n, k));
+    add(Level::L3, T::MULADD_FLOPS * (n * n * k) as u64);
+    add_bytes(Level::L3, syr2k_bytes::<T>(n, k));
     let jb = TRI_JB;
     c[..(n - 1) * ldc + n]
         .par_chunks_mut(jb * ldc)
@@ -642,99 +674,58 @@ pub fn syr2k_lower_par(
             // Scale this panel's triangle columns (rows j..n of column j).
             for jj in 0..jn {
                 let col = &mut cpanel[jj * ldc + j0 + jj..jj * ldc + n];
-                if beta == 0.0 {
-                    col.fill(0.0);
-                } else if beta != 1.0 {
+                if beta == T::ZERO {
+                    col.fill(T::ZERO);
+                } else if beta != T::ONE {
                     for v in col {
                         *v *= beta;
                     }
                 }
             }
-            if alpha == 0.0 || k == 0 {
+            if alpha == T::ZERO || k == 0 {
                 return;
             }
-            syr2k_diag(
-                jn,
-                k,
-                alpha,
-                &a[j0..],
-                lda,
-                &b[j0..],
-                ldb,
-                &mut cpanel[j0..],
-                ldc,
-            );
-            let rows_below = n - j0 - jn;
-            if rows_below > 0 {
-                let r0 = j0 + jn;
-                gemm_into(
-                    Trans::No,
-                    Trans::Yes,
-                    rows_below,
-                    jn,
-                    k,
-                    alpha,
-                    &a[r0..],
-                    lda,
-                    &b[j0..],
-                    ldb,
-                    &mut cpanel[r0..],
-                    ldc,
-                );
-                gemm_into(
-                    Trans::No,
-                    Trans::Yes,
-                    rows_below,
-                    jn,
-                    k,
-                    alpha,
-                    &b[r0..],
-                    ldb,
-                    &a[j0..],
-                    lda,
-                    &mut cpanel[r0..],
-                    ldc,
-                );
-            }
+            syr2k_panel(n, k, alpha, a, lda, b, ldb, cpanel, ldc, j0, jn);
         });
 }
 
 /// Traffic model of the blocked `symm_lower_left`: the stored triangle
 /// is read once, `B` is re-streamed once per `TRI_JB`-wide column panel
 /// of `A`, `C` read+written once.
-fn symm_bytes(m: usize, k: usize) -> u64 {
+fn symm_bytes<T: Scalar>(m: usize, k: usize) -> u64 {
     let sweeps = m.div_ceil(TRI_JB).max(1) as u64;
-    8 * (((m * m / 2) + 2 * m * k) as u64 + (m * k) as u64 * sweeps)
+    T::BYTES * (((m * m / 2) + 2 * m * k) as u64 + (m * k) as u64 * sweeps)
 }
 
-/// Symmetric-times-rectangular multiply: `C <- alpha A B + beta C` with
-/// `A` symmetric of order `m` (lower triangle stored) and `B`, `C`
+/// Symmetric / Hermitian times rectangular multiply (`dsymm` /
+/// `zhemm`, left side, lower storage): `C <- alpha A B + beta C` with
+/// `A` of order `m` (lower triangle stored, the upper one its
+/// conjugate mirror, the diagonal's imaginary part ignored) and `B`, `C`
 /// `m x k`. Blocked like [`syr2k_lower`]: per `TRI_JB`-wide column panel
-/// of `A`, the symmetric diagonal block (mirrored into a full square)
-/// plus two packed `gemm`s — `No` for the strictly-lower block, `Yes`
-/// for its mirrored upper image — so every flop runs on the packed
-/// engine.
+/// of `A`, the diagonal block (mirrored into a full square) plus two
+/// packed `gemm`s — `No` for the strictly-lower block, `Yes` for its
+/// mirrored upper image — so every flop runs on the packed engine.
 ///
 /// This is the `A2 * (V T)` product at the heart of the stage-1 trailing
 /// update.
 #[allow(clippy::too_many_arguments)]
-pub fn symm_lower_left(
+pub fn symm_lower_left<T: ComplexScalar + GemmScalar>(
     m: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     symm_contract("symm_lower_left", m, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * m * m * k) as u64);
-    add_bytes(Level::L3, symm_bytes(m, k));
+    add(Level::L3, T::MULADD_FLOPS * (m * m * k) as u64);
+    add_bytes(Level::L3, symm_bytes::<T>(m, k));
     scale_c(beta, m, k, c, ldc);
-    if alpha == 0.0 {
+    if alpha == T::ZERO {
         return;
     }
     symm_into(m, k, alpha, a, lda, b, ldb, c, ldc);
@@ -744,15 +735,15 @@ pub fn symm_lower_left(
 /// stored lower triangle of order `m` (only that triangle is poison-
 /// scanned), `B` and `C` are `m x k`, nothing aliases `C`.
 #[allow(clippy::too_many_arguments)]
-fn symm_contract(
+fn symm_contract<T: Scalar>(
     kernel: &str,
     m: usize,
     k: usize,
-    a: &[f64],
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &[f64],
+    c: &[T],
     ldc: usize,
 ) {
     if !contract::enabled() {
@@ -773,30 +764,32 @@ fn symm_contract(
 /// into a full square on the stack, so it runs through the packed
 /// `gemm` too.
 #[allow(clippy::too_many_arguments)]
-fn symm_into(
+fn symm_into<T: ComplexScalar + GemmScalar>(
     m: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
 ) {
     if m == 0 || k == 0 {
         return;
     }
-    let mut diag = [0.0f64; TRI_JB * TRI_JB];
+    let mut diag = [T::ZERO; TRI_JB * TRI_JB];
     let mut j0 = 0;
     while j0 < m {
         let jn = TRI_JB.min(m - j0);
         // Diagonal block A[j0..j0+jn, j0..j0+jn], both triangles.
         for j in 0..jn {
-            for i in j..jn {
+            let d = a[j0 + j + (j0 + j) * lda];
+            diag[j + j * jn] = T::new(d.re(), 0.0);
+            for i in j + 1..jn {
                 let v = a[j0 + i + (j0 + j) * lda];
                 diag[i + j * jn] = v;
-                diag[j + i * jn] = v;
+                diag[j + i * jn] = v.conj();
             }
         }
         gemm_into(
@@ -831,7 +824,7 @@ fn symm_into(
                 &mut c[r0..],
                 ldc,
             );
-            // C[j0..r0, :] += alpha * A[r0.., j0..r0]^T * B[r0.., :]
+            // C[j0..r0, :] += alpha * A[r0.., j0..r0]^H * B[r0.., :]
             // (the mirrored upper image of the stored strictly-lower block).
             gemm_into(
                 Trans::Yes,
@@ -857,16 +850,16 @@ fn symm_into(
 /// private `C` — the off-diagonal blocks through the packed `gemm` —
 /// and the partials are summed. `A` is streamed exactly once in total.
 #[allow(clippy::too_many_arguments)]
-pub fn symm_lower_left_par(
+pub fn symm_lower_left_par<T: ComplexScalar + GemmScalar>(
     m: usize,
     k: usize,
-    alpha: f64,
-    a: &[f64],
+    alpha: T,
+    a: &[T],
     lda: usize,
-    b: &[f64],
+    b: &[T],
     ldb: usize,
-    beta: f64,
-    c: &mut [f64],
+    beta: T,
+    c: &mut [T],
     ldc: usize,
 ) {
     if m * m * k < 48 * 48 * 48 || rayon::current_num_threads() == 1 {
@@ -874,8 +867,8 @@ pub fn symm_lower_left_par(
         return;
     }
     symm_contract("symm_lower_left_par", m, k, a, lda, b, ldb, c, ldc);
-    add(Level::L3, (2 * m * m * k) as u64);
-    add_bytes(Level::L3, symm_bytes(m, k));
+    add(Level::L3, T::MULADD_FLOPS * (m * m * k) as u64);
+    add_bytes(Level::L3, symm_bytes::<T>(m, k));
     // Chunk boundaries over A's column range, balanced by trapezoid
     // area; each chunk contributes a blocked diagonal symm plus two
     // packed gemms, accumulated into a private C and reduced.
@@ -897,7 +890,7 @@ pub fn symm_lower_left_par(
     if last != m {
         bounds.push(m);
     }
-    let partials: Vec<(usize, usize, Vec<f64>)> = bounds
+    let partials: Vec<(usize, usize, Vec<T>)> = bounds
         .par_windows(2)
         .map(|w| {
             let (c0, c1) = (w[0], w[1]);
@@ -906,12 +899,12 @@ pub fn symm_lower_left_par(
             // Private output covering only the rows this chunk touches
             // (c0..m), k columns.
             let rows = m - c0;
-            let mut pc = vec![0.0f64; rows * k];
-            // Diagonal symmetric block: rows/cols c0..c1.
+            let mut pc = vec![T::ZERO; rows * k];
+            // Diagonal block: rows/cols c0..c1.
             symm_into(
                 wl,
                 k,
-                1.0,
+                T::ONE,
                 &a[c0 + c0 * lda..],
                 lda,
                 &b[c0..],
@@ -927,7 +920,7 @@ pub fn symm_lower_left_par(
                     rl,
                     k,
                     wl,
-                    1.0,
+                    T::ONE,
                     &a[c1 + c0 * lda..],
                     lda,
                     &b[c0..],
@@ -935,14 +928,14 @@ pub fn symm_lower_left_par(
                     &mut pc[wl..],
                     rows,
                 );
-                // C[c0..c1, :] += A[c1.., c0..c1]^T * B[c1.., :]
+                // C[c0..c1, :] += A[c1.., c0..c1]^H * B[c1.., :]
                 gemm_into(
                     Trans::Yes,
                     Trans::No,
                     wl,
                     k,
                     rl,
-                    1.0,
+                    T::ONE,
                     &a[c1 + c0 * lda..],
                     lda,
                     &b[c1..],
@@ -956,9 +949,9 @@ pub fn symm_lower_left_par(
         .collect();
     for j in 0..k {
         let col = &mut c[j * ldc..j * ldc + m];
-        if beta == 0.0 {
-            col.fill(0.0);
-        } else if beta != 1.0 {
+        if beta == T::ZERO {
+            col.fill(T::ZERO);
+        } else if beta != T::ONE {
             for v in col.iter_mut() {
                 *v *= beta;
             }
@@ -1042,7 +1035,7 @@ pub fn trmm_unit_lower_left(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tseig_matrix::Matrix;
+    use tseig_matrix::{CMatrixG, Matrix, C64};
 
     fn naive(a: &Matrix, b: &Matrix) -> Matrix {
         a.multiply(b).unwrap()
@@ -1496,33 +1489,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn syr2k_matches_gemm_pair() {
-        let n = 9;
+    /// Random `m x n` matrix with entries in the unit box (the imaginary
+    /// part is dropped at `f64`).
+    fn rand_t<T: ComplexScalar>(m: usize, n: usize, seed: u64) -> CMatrixG<T> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        CMatrixG::from_fn(m, n, |_, _| {
+            T::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+        })
+    }
+
+    /// `syr2k` / `her2k` against the dense `alpha A B^H + conj(alpha) B
+    /// A^H + beta C` on the lower triangle, at orders on both sides of
+    /// the `TRI_JB` panel width; the upper triangle stays untouched and,
+    /// on complex types, the diagonal comes out exactly real.
+    fn syr2k_matches_dense_at<T: ComplexScalar + GemmScalar>() {
         let k = 4;
-        let a = rand_mat(n, k, 11);
-        let b = rand_mat(n, k, 12);
-        let mut c = Matrix::zeros(n, n);
-        syr2k_lower(
-            n,
-            k,
-            0.5,
-            a.as_slice(),
-            n,
-            b.as_slice(),
-            n,
-            0.0,
-            c.as_mut_slice(),
-            n,
-        );
-        let abt = naive(&a, &b.transpose());
-        let bat = naive(&b, &a.transpose());
-        for j in 0..n {
-            for i in j..n {
-                let w = 0.5 * (abt[(i, j)] + bat[(i, j)]);
-                assert!((c[(i, j)] - w).abs() < 1e-13);
+        for n in [1, 9, 63, 64, 65, 130] {
+            let a = rand_t::<T>(n, k, 11);
+            let b = rand_t::<T>(n, k, 12);
+            let mut c0 = rand_t::<T>(n, n, 13);
+            c0.hermitize_from_lower();
+            let (alpha, beta) = (T::new(0.5, -0.25), T::new(0.5, 0.0));
+            let mut c = c0.clone();
+            syr2k_lower(
+                n,
+                k,
+                alpha,
+                a.as_slice(),
+                n,
+                b.as_slice(),
+                n,
+                beta,
+                c.as_mut_slice(),
+                n,
+            );
+            let abh = a.multiply(&b.adjoint());
+            let bah = b.multiply(&a.adjoint());
+            for j in 0..n {
+                for i in j..n {
+                    let w = alpha * abh[(i, j)] + alpha.conj() * bah[(i, j)] + beta * c0[(i, j)];
+                    assert!((c[(i, j)] - w).abs() < 1e-13, "n={n} ({i},{j})");
+                }
+                for i in 0..j {
+                    assert!(c[(i, j)] == c0[(i, j)], "upper triangle touched");
+                }
+                assert_eq!(c[(j, j)].im(), 0.0, "diagonal not real");
             }
         }
+    }
+
+    #[test]
+    fn syr2k_matches_gemm_pair() {
+        syr2k_matches_dense_at::<f64>();
+        syr2k_matches_dense_at::<C64>();
     }
 
     #[test]
@@ -1607,27 +1628,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn symm_matches_dense() {
-        // Orders on both sides of the TRI_JB panel width (and one
-        // spanning three panels), the stage-1 column count, and padded
-        // leading dimensions with NaN in every unread slot, each with a
-        // negative and a positive `beta`, all to the same absolute bound.
+    /// `symm` / `hemm` against the dense product at orders on both sides
+    /// of the `TRI_JB` panel width (and one spanning three panels), the
+    /// stage-1 column count, and padded leading dimensions with NaN in
+    /// every unread slot, each with two `(alpha, beta)` pairs, all to
+    /// the same absolute bound. On complex types the stored diagonal
+    /// carries a junk imaginary part the Hermitian contract ignores.
+    fn symm_matches_dense_at<T: ComplexScalar + GemmScalar>() {
+        let nan = T::new(f64::NAN, f64::NAN);
         for m in [1, 9, 63, 64, 65, 130] {
             for k in [1, 4, 48] {
-                for (alpha, beta) in [(2.0, -1.0), (1.5, 0.5)] {
+                for (alpha, beta) in [
+                    (T::new(2.0, 0.5), T::new(-1.0, 0.25)),
+                    (T::new(1.5, -0.5), T::new(0.5, 0.75)),
+                ] {
                     let (lda, ldb, ldc) = (m + 3, m + 1, m + 2);
-                    let full = tseig_matrix::gen::random_symmetric(m, (m + k) as u64);
-                    let mut a = vec![f64::NAN; lda * m];
+                    let mut full = rand_t::<T>(m, m, (m + k) as u64);
+                    full.hermitize_from_lower();
+                    let mut a = vec![nan; lda * m];
                     for j in 0..m {
                         for i in j..m {
                             a[i + j * lda] = full[(i, j)];
                         }
+                        a[j + j * lda] += T::new(0.0, 0.75);
                     }
-                    let bm = rand_mat(m, k, 26);
-                    let mut b = vec![f64::NAN; ldb * k];
-                    let c0 = rand_mat(m, k, 27);
-                    let mut c = vec![f64::NAN; ldc * k];
+                    let bm = rand_t::<T>(m, k, 26);
+                    let mut b = vec![nan; ldb * k];
+                    let c0 = rand_t::<T>(m, k, 27);
+                    let mut c = vec![nan; ldc * k];
                     for j in 0..k {
                         for i in 0..m {
                             b[i + j * ldb] = bm[(i, j)];
@@ -1635,18 +1663,26 @@ mod tests {
                         }
                     }
                     symm_lower_left(m, k, alpha, &a, lda, &b, ldb, beta, &mut c, ldc);
-                    let want = naive(&full, &bm);
+                    let want = full.multiply(&bm);
                     for j in 0..k {
                         for i in 0..m {
                             let w = alpha * want[(i, j)] + beta * c0[(i, j)];
                             let got = c[i + j * ldc];
-                            assert!((got - w).abs() < 1e-12, "m={m} k={k} beta={beta} ({i},{j})");
+                            assert!((got - w).abs() < 1e-13, "m={m} k={k} ({i},{j})");
                         }
-                        assert!(c[m + j * ldc..(j + 1) * ldc].iter().all(|v| v.is_nan()));
+                        assert!(c[m + j * ldc..(j + 1) * ldc]
+                            .iter()
+                            .all(|v| v.re().is_nan()));
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn symm_matches_dense() {
+        symm_matches_dense_at::<f64>();
+        symm_matches_dense_at::<C64>();
     }
 
     #[test]

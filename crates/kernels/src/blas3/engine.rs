@@ -4,10 +4,10 @@
 //! whole project runs on, generic over [`Scalar`]: the `f64` entry
 //! points in [`super`] monomorphize it with the dispatched SIMD
 //! microkernel (bitwise identical to the pre-generic engine — the
-//! differential dispatch suite pins that), the Hermitian pipeline
-//! monomorphizes it at [`C64`]/[`C32`], and the single-precision real
-//! path at `f32` — each type behind its own runtime-dispatched
-//! microkernel table in [`super::simd`].
+//! differential dispatch suite pins that), the generic kernels of the
+//! Hermitian pipeline monomorphize it at [`C64`]/[`C32`], and the
+//! single-precision real path at `f32` — each type behind its own
+//! runtime-dispatched microkernel table in [`super::simd`].
 //!
 //! ## Conjugation lives in the pack, not the loop
 //!
@@ -36,9 +36,8 @@
 //! packed once per cache block that revisits it (`A` once per `jc`
 //! panel, `B` once), `C` is read+written once per rank-`KC` update —
 //! weighted by `T::BYTES`. This is the same model the `f64` counters
-//! have used since the packed engine landed, now shared by the complex
-//! wrappers so arithmetic-intensity reports stay comparable between
-//! the real and complex columns.
+//! have used since the packed engine landed, so arithmetic-intensity
+//! reports stay comparable between the real and complex columns.
 
 use super::simd::{MicroKernel, SimdScalar};
 use super::{Op, KC};
@@ -392,46 +391,6 @@ pub fn gemm_par<T: GemmScalar>(
     );
 }
 
-/// Accumulate-only packed nest: `C += alpha op(A) op(B)` with no
-/// scaling, no contracts and no counters — the building block for
-/// blocked structured kernels (`zher2k`/`zhemm` wrappers) that do their
-/// own accounting at the entry point, exactly as the `f64` `syr2k`/
-/// `symm` family uses its private `gemm_into`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into<T: GemmScalar>(
-    opa: Op,
-    opb: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    c: &mut [T],
-    ldc: usize,
-) {
-    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    gemm_into_with(
-        T::kernel(),
-        opa,
-        opb,
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        lda,
-        b,
-        ldb,
-        c,
-        ldc,
-    );
-}
-
 /// The two-way parallel split over the packed nest: no contracts, no
 /// counters, and the caller has already rejected the degenerate shapes
 /// (`alpha == 0`, any zero dimension). Shared verbatim by the `f64`
@@ -776,45 +735,8 @@ pub(crate) fn scale_c<T: Scalar>(beta: T, m: usize, n: usize, c: &mut [T], ldc: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::gemm_oracle;
     use tseig_matrix::c64;
-
-    /// Naive `op(A) op(B)` oracle over all nine op combinations.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_oracle<T: Scalar>(
-        opa: Op,
-        opb: Op,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: T,
-        a: &[T],
-        lda: usize,
-        b: &[T],
-        ldb: usize,
-        beta: T,
-        c: &mut [T],
-        ldc: usize,
-    ) {
-        let at = |i: usize, p: usize| match opa {
-            Op::No => a[i + p * lda],
-            Op::Trans => a[p + i * lda],
-            Op::ConjTrans => a[p + i * lda].conj(),
-        };
-        let bt = |p: usize, j: usize| match opb {
-            Op::No => b[p + j * ldb],
-            Op::Trans => b[j + p * ldb],
-            Op::ConjTrans => b[j + p * ldb].conj(),
-        };
-        for j in 0..n {
-            for i in 0..m {
-                let mut acc = T::ZERO;
-                for p in 0..k {
-                    acc += at(i, p) * bt(p, j);
-                }
-                c[i + j * ldc] = beta * c[i + j * ldc] + alpha * acc;
-            }
-        }
-    }
 
     fn cval(i: usize) -> C64 {
         c64((i % 13) as f64 - 6.0, ((i * 7) % 11) as f64 - 5.0)

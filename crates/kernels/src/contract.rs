@@ -153,13 +153,13 @@ pub fn require_finite_lower<T: Scalar>(kernel: &str, arg: &str, s: &[T], n: usiz
 /// stale values below the diagonal would silently enter the product.
 #[inline]
 #[track_caller]
-pub fn require_zero_strict_lower(kernel: &str, arg: &str, s: &[f64], n: usize, ld: usize) {
+pub fn require_zero_strict_lower<T: Scalar>(kernel: &str, arg: &str, s: &[T], n: usize, ld: usize) {
     if enabled() {
         for j in 0..n {
             for i in j + 1..n {
                 let v = s[i + j * ld];
                 assert!(
-                    v == 0.0,
+                    v == T::ZERO,
                     "{kernel}: `{arg}` must be upper triangular, but ({i}, {j}) = {v:?} \
                      below the diagonal"
                 );

@@ -1,20 +1,30 @@
 //! Householder reflector tool-chain: `larfg`, `larf`, `larft`, `larfb`.
 //!
+//! One kernel family for the real and the complex pipelines: every
+//! entry point except the chase-only [`larf_sym_two_sided`] is generic
+//! over the element type with Hermitian semantics (`^H` below is the
+//! conjugate transpose, `Trans::Yes` means `op(X) = X^H`). `conj` is the
+//! identity on `f64` and every complex formula is written so that at
+//! `f64` it performs the real kernel's operations in the real kernel's
+//! order — the real results are bitwise those of a real-only kernel.
+//!
 //! Conventions (LAPACK-compatible):
 //!
-//! * A reflector is `H = I - tau * u u^T` with `u = [1, v]^T`; `larfg`
-//!   returns `tau` and overwrites its input with `v` (the part below the
-//!   implicit leading 1).
+//! * A reflector is `H = I - tau * u u^H` with `u = [1, v]^T`; `larfg`
+//!   returns a real `beta` and `tau` and overwrites its input with `v`
+//!   (the part below the implicit leading 1).
 //! * Block reflectors use the compact WY form `H_1 H_2 ... H_k =
-//!   I - V T V^T`, where `V` is unit lower-trapezoidal. Our `larft`/`larfb`
+//!   I - V T V^H`, where `V` is unit lower-trapezoidal. Our `larft`/`larfb`
 //!   take `V` with **explicit** unit diagonal and explicit zeros above it —
 //!   callers materialize that (cheap, `k` is a block size) — because the
 //!   bulge-chasing back-transformation builds `V` blocks (the paper's
 //!   *diamonds*) that never lived inside a factored matrix.
 
+use crate::blas3::engine::GemmScalar;
 use crate::blas3::{gemm, Trans};
 use crate::contract;
 use crate::flops::{add, add_bytes, Level};
+use tseig_matrix::ComplexScalar;
 
 /// Which side a (block) reflector is applied from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,36 +33,40 @@ pub enum Side {
     Right,
 }
 
-/// Generate an elementary reflector for the vector `[alpha, x]`:
-/// on return `H [alpha, x]^T = [beta, 0]^T`, `x` holds `v`, and the
-/// function returns `(beta, tau)`. `tau == 0` means `H == I`.
-pub fn larfg(alpha: f64, x: &mut [f64]) -> (f64, f64) {
+/// Generate an elementary reflector for the vector `[alpha, x]`
+/// (LAPACK `dlarfg` / `zlarfg`): on return `H^H [alpha, x]^T =
+/// [beta, 0]^T` with `beta` **real**, `x` holds `v`, and the function
+/// returns `(beta, tau)`. `tau == 0` means `H == I`. The scalars are
+/// formed in `f64` and rounded to `T` on store.
+pub fn larfg<T: ComplexScalar>(alpha: T, x: &mut [T]) -> (f64, T) {
     contract::require_finite_vec("larfg", "x", x, x.len());
     let xnorm = crate::blas1::nrm2(x);
-    if xnorm == 0.0 {
-        return (alpha, 0.0);
+    let (are, aim) = (alpha.re(), alpha.im());
+    if xnorm == 0.0 && aim == 0.0 {
+        return (are, T::ZERO);
     }
-    add(Level::L1, 2 * x.len() as u64);
-    add_bytes(Level::L1, 16 * x.len() as u64);
-    let beta = -(alpha.hypot(xnorm)).copysign(alpha);
-    let tau = (beta - alpha) / beta;
-    let inv = 1.0 / (alpha - beta);
+    add(Level::L1, T::MULADD_FLOPS * x.len() as u64);
+    add_bytes(Level::L1, 2 * T::BYTES * x.len() as u64);
+    let beta = -(ComplexScalar::abs(alpha).hypot(xnorm)).copysign(are);
+    let tau = T::new((beta - are) / beta, -aim / beta);
+    let inv = T::ONE / (alpha - T::new(beta, 0.0));
     for v in x.iter_mut() {
         *v *= inv;
     }
     (beta, tau)
 }
 
-/// Apply `H = I - tau u u^T` from the left: `C <- H C`, where `u` is the
+/// Apply `H = I - tau u u^H` from the left: `C <- H C`, where `u` is the
 /// **full** reflector vector of length `m` (leading 1 stored explicitly).
-pub fn larf_left(
-    u: &[f64],
-    tau: f64,
+/// Pass `tau.conj()` to apply `H^H`.
+pub fn larf_left<T: ComplexScalar>(
+    u: &[T],
+    tau: T,
     m: usize,
     n: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
-    work: &mut [f64],
+    work: &mut [T],
 ) {
     if contract::enabled() {
         contract::require_vec("larf_left", "u", u, m);
@@ -61,43 +75,43 @@ pub fn larf_left(
         contract::require_no_alias("larf_left", "u", u, "c", c);
         contract::require_finite_vec("larf_left", "u", u, m);
     }
-    if tau == 0.0 {
+    if tau == T::ZERO {
         return;
     }
-    add(Level::L2, (4 * m * n) as u64);
+    add(Level::L2, 2 * T::MULADD_FLOPS * (m * n) as u64);
     // C read and written once, u/work streamed per column sweep.
-    add_bytes(Level::L2, 8 * (2 * m * n + m + 2 * n) as u64);
-    // work = C^T u
+    add_bytes(Level::L2, T::BYTES * (2 * m * n + m + 2 * n) as u64);
+    // work = C^T conj(u)  (= (u^H C)^T)
     for j in 0..n {
         let col = &c[j * ldc..j * ldc + m];
-        let mut s = 0.0;
+        let mut s = T::ZERO;
         for i in 0..m {
-            s += col[i] * u[i];
+            s += col[i].mul_conj(u[i]);
         }
         work[j] = s;
     }
     // C -= tau u work^T
     for j in 0..n {
         let t = tau * work[j];
-        if t == 0.0 {
+        if t == T::ZERO {
             continue;
         }
         let col = &mut c[j * ldc..j * ldc + m];
         for i in 0..m {
-            col[i] -= t * u[i];
+            col[i] -= u[i] * t;
         }
     }
 }
 
-/// Apply `H = I - tau u u^T` from the right: `C <- C H`, `u` of length `n`.
-pub fn larf_right(
-    u: &[f64],
-    tau: f64,
+/// Apply `H = I - tau u u^H` from the right: `C <- C H`, `u` of length `n`.
+pub fn larf_right<T: ComplexScalar>(
+    u: &[T],
+    tau: T,
     m: usize,
     n: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
-    work: &mut [f64],
+    work: &mut [T],
 ) {
     if contract::enabled() {
         contract::require_vec("larf_right", "u", u, n);
@@ -106,33 +120,33 @@ pub fn larf_right(
         contract::require_no_alias("larf_right", "u", u, "c", c);
         contract::require_finite_vec("larf_right", "u", u, n);
     }
-    if tau == 0.0 {
+    if tau == T::ZERO {
         return;
     }
-    add(Level::L2, (4 * m * n) as u64);
+    add(Level::L2, 2 * T::MULADD_FLOPS * (m * n) as u64);
     // C read and written once, u/work streamed per column sweep.
-    add_bytes(Level::L2, 8 * (2 * m * n + 2 * m + n) as u64);
+    add_bytes(Level::L2, T::BYTES * (2 * m * n + 2 * m + n) as u64);
     // work = C u
-    work[..m].fill(0.0);
+    work[..m].fill(T::ZERO);
     for j in 0..n {
         let t = u[j];
-        if t == 0.0 {
+        if t == T::ZERO {
             continue;
         }
         let col = &c[j * ldc..j * ldc + m];
         for i in 0..m {
-            work[i] += t * col[i];
+            work[i] += col[i] * t;
         }
     }
-    // C -= tau work u^T
+    // C -= tau work u^H
     for j in 0..n {
-        let t = tau * u[j];
-        if t == 0.0 {
+        let t = tau * u[j].conj();
+        if t == T::ZERO {
             continue;
         }
         let col = &mut c[j * ldc..j * ldc + m];
         for i in 0..m {
-            col[i] -= t * work[i];
+            col[i] -= work[i] * t;
         }
     }
 }
@@ -192,13 +206,21 @@ pub fn larf_sym_two_sided(
 }
 
 /// Form the upper-triangular block-reflector factor `T` (forward,
-/// column-wise) such that `H_1 ... H_k = I - V T V^T`.
+/// column-wise) such that `H_1 ... H_k = I - V T V^H`.
 ///
 /// `V` is `m x k` with explicit unit diagonal and zeros above; `tau[i]`
 /// belongs to column `i`. `T` (`k x k`, `ldt >= k`) is fully written:
 /// entries below the diagonal are set to zero so `T` can be fed to
 /// general (non-triangular) multiplies.
-pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f64], ldt: usize) {
+pub fn larft<T: ComplexScalar>(
+    m: usize,
+    k: usize,
+    v: &[T],
+    ldv: usize,
+    tau: &[T],
+    t: &mut [T],
+    ldt: usize,
+) {
     if contract::enabled() {
         contract::require_mat("larft", "v", v, m, k, ldv);
         contract::require_vec("larft", "tau", tau, k);
@@ -207,34 +229,34 @@ pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f6
         contract::require_finite_mat("larft", "v", v, m, k, ldv);
         contract::require_finite_vec("larft", "tau", tau, k);
     }
-    add(Level::L3, (m * k * k) as u64);
+    add(Level::L3, (T::MULADD_FLOPS / 2) * (m * k * k) as u64);
     // V streamed once per column pair, T is k x k and cache-resident.
-    add_bytes(Level::L3, 8 * (m * k + 2 * k * k) as u64);
+    add_bytes(Level::L3, T::BYTES * (m * k + 2 * k * k) as u64);
     for i in 0..k {
         // Zero below-diagonal part of column i.
         for l in i + 1..k {
-            t[l + i * ldt] = 0.0;
+            t[l + i * ldt] = T::ZERO;
         }
-        if tau[i] == 0.0 {
-            t[i + i * ldt] = 0.0;
+        if tau[i] == T::ZERO {
+            t[i + i * ldt] = T::ZERO;
             for l in 0..i {
-                t[l + i * ldt] = 0.0;
+                t[l + i * ldt] = T::ZERO;
             }
             continue;
         }
-        // w = V(:, 0..i)^T * V(:, i)
+        // w = V(:, 0..i)^H * V(:, i)
         for l in 0..i {
             let vl = &v[l * ldv..l * ldv + m];
             let vi = &v[i * ldv..i * ldv + m];
-            let mut s = 0.0;
+            let mut s = T::ZERO;
             for r in 0..m {
-                s += vl[r] * vi[r];
+                s += vi[r].mul_conj(vl[r]);
             }
-            t[l + i * ldt] = -tau[i] * s;
+            t[l + i * ldt] = -(tau[i] * s);
         }
         // T(0..i, i) = T(0..i, 0..i) * w  (in place, top-down).
         for l in 0..i {
-            let mut s = 0.0;
+            let mut s = T::ZERO;
             for q in l..i {
                 s += t[l + q * ldt] * t[q + i * ldt];
             }
@@ -244,7 +266,7 @@ pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f6
     }
 }
 
-/// Apply a block reflector `H = I - V T V^T` (or `H^T`) to `C`.
+/// Apply a block reflector `H = I - V T V^H` (or `H^H`) to `C`.
 ///
 /// * `side == Left`:  `C (m x n) <- op(H) C`, `V` is `m x k`.
 /// * `side == Right`: `C (m x n) <- C op(H)`, `V` is `n x k`.
@@ -254,24 +276,24 @@ pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f6
 /// triangle — both sides multiply by the whole of `T` through `gemm`,
 /// and debug builds check that its strictly-lower part is zero.
 #[allow(clippy::too_many_arguments)]
-pub fn larfb(
+pub fn larfb<T: ComplexScalar + GemmScalar>(
     side: Side,
     trans: Trans,
     m: usize,
     n: usize,
     k: usize,
-    v: &[f64],
+    v: &[T],
     ldv: usize,
-    t: &[f64],
+    t: &[T],
     ldt: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
 ) {
     let wlen = match side {
         Side::Left => k * n,
         Side::Right => m * k,
     };
-    let mut work = vec![0.0f64; 2 * wlen];
+    let mut work = vec![T::ZERO; 2 * wlen];
     larfb_with_work(side, trans, m, n, k, v, ldv, t, ldt, c, ldc, &mut work);
 }
 
@@ -280,19 +302,19 @@ pub fn larfb(
 /// of thousands of small block reflectors; reusing the workspace keeps
 /// the allocator out of the inner loop.
 #[allow(clippy::too_many_arguments)]
-pub fn larfb_with_work(
+pub fn larfb_with_work<T: ComplexScalar + GemmScalar>(
     side: Side,
     trans: Trans,
     m: usize,
     n: usize,
     k: usize,
-    v: &[f64],
+    v: &[T],
     ldv: usize,
-    t: &[f64],
+    t: &[T],
     ldt: usize,
-    c: &mut [f64],
+    c: &mut [T],
     ldc: usize,
-    work: &mut [f64],
+    work: &mut [T],
 ) {
     if contract::enabled() {
         let vrows = match side {
@@ -315,10 +337,10 @@ pub fn larfb_with_work(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let topt = trans;
+    let (one, zero) = (T::ONE, T::ZERO);
     match side {
         Side::Left => {
-            // W = V^T C  (k x n); W2 = op(T) W; C -= V W2.
+            // W = V^H C  (k x n); W2 = op(T) W; C -= V W2.
             let (w, w2) = work[..2 * k * n].split_at_mut(k * n);
             gemm(
                 Trans::Yes,
@@ -326,34 +348,34 @@ pub fn larfb_with_work(
                 k,
                 n,
                 m,
-                1.0,
+                one,
                 v,
                 ldv,
                 c,
                 ldc,
-                0.0,
+                zero,
                 w,
                 k,
             );
-            gemm(topt, Trans::No, k, n, k, 1.0, t, ldt, w, k, 0.0, w2, k);
+            gemm(trans, Trans::No, k, n, k, one, t, ldt, w, k, zero, w2, k);
             gemm(
                 Trans::No,
                 Trans::No,
                 m,
                 n,
                 k,
-                -1.0,
+                -one,
                 v,
                 ldv,
                 w2,
                 k,
-                1.0,
+                one,
                 c,
                 ldc,
             );
         }
         Side::Right => {
-            // W = C V (m x k); W <- W op(T); C -= W V^T.
+            // W = C V (m x k); W <- W op(T); C -= W V^H.
             let (w, w2) = work[..2 * m * k].split_at_mut(m * k);
             gemm(
                 Trans::No,
@@ -361,28 +383,28 @@ pub fn larfb_with_work(
                 m,
                 k,
                 n,
-                1.0,
+                one,
                 c,
                 ldc,
                 v,
                 ldv,
-                0.0,
+                zero,
                 w,
                 m,
             );
-            gemm(Trans::No, topt, m, k, k, 1.0, w, m, t, ldt, 0.0, w2, m);
+            gemm(Trans::No, trans, m, k, k, one, w, m, t, ldt, zero, w2, m);
             gemm(
                 Trans::No,
                 Trans::Yes,
                 m,
                 n,
                 k,
-                -1.0,
+                -one,
                 w2,
                 m,
                 v,
                 ldv,
-                1.0,
+                one,
                 c,
                 ldc,
             );
@@ -393,7 +415,25 @@ pub fn larfb_with_work(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tseig_matrix::Matrix;
+    use tseig_matrix::{c64, CMatrix, Matrix, C64};
+
+    fn rand_cmat(m: usize, n: usize, seed: u64) -> CMatrix {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        CMatrix::from_fn(m, n, |_, _| {
+            c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+        })
+    }
+
+    /// Dense complex `H = I - tau u u^H`.
+    fn dense_hc(u: &[C64], tau: C64) -> CMatrix {
+        let n = u.len();
+        CMatrix::from_fn(n, n, |i, j| {
+            let idp = if i == j { C64::ONE } else { C64::ZERO };
+            idp - tau * u[i] * u[j].conj()
+        })
+    }
 
     fn rand_vec(n: usize, seed: u64) -> Vec<f64> {
         use rand::rngs::StdRng;
@@ -442,6 +482,48 @@ mod tests {
     }
 
     #[test]
+    fn larfg_real_beta_and_annihilation_c64() {
+        let alpha = c64(0.3, -0.7);
+        let mut x = vec![c64(1.0, 0.5), c64(-0.2, 0.8)];
+        let x0 = x.clone();
+        let (beta, tau) = larfg(alpha, &mut x);
+        // H^H [alpha, x] must equal [beta, 0, 0] with beta real.
+        let v = [C64::ONE, x[0], x[1]];
+        let orig = [alpha, x0[0], x0[1]];
+        // H^H y = y - conj(tau) v (v^H y).
+        let vhy: C64 = orig
+            .iter()
+            .zip(&v)
+            .map(|(y, vi)| y.mul_conj(*vi))
+            .fold(C64::ZERO, |a, b| a + b);
+        let out: Vec<C64> = orig
+            .iter()
+            .zip(&v)
+            .map(|(y, vi)| *y - *vi * tau.conj() * vhy)
+            .collect();
+        assert!((out[0] - c64(beta, 0.0)).abs() < 1e-13, "{:?}", out[0]);
+        assert!(out[1].abs() < 1e-13 && out[2].abs() < 1e-13);
+        // |beta| == ||[alpha, x]||.
+        let nrm = (alpha.abs2() + x0[0].abs2() + x0[1].abs2()).sqrt();
+        assert!((beta.abs() - nrm).abs() < 1e-13);
+        // A zero tail with a complex alpha still needs a (phase) reflector.
+        let (beta, tau) = larfg(c64(0.0, 2.0), &mut []);
+        assert_eq!(beta, -2.0);
+        assert!((tau - c64(1.0, 1.0)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn reflector_is_unitary_c64() {
+        let mut x = vec![c64(0.4, -0.1), c64(0.2, 0.9), c64(-0.6, 0.3)];
+        let (_, tau) = larfg(c64(1.0, 0.2), &mut x);
+        let mut v = vec![C64::ONE];
+        v.extend_from_slice(&x);
+        let h = dense_hc(&v, tau);
+        let prod = h.multiply(&h.adjoint());
+        assert!(prod.max_diff(&CMatrix::identity(v.len())) < 1e-13);
+    }
+
+    #[test]
     fn reflector_is_orthogonal_involution() {
         let mut x = rand_vec(5, 1);
         let (_, tau) = larfg(0.7, &mut x);
@@ -472,6 +554,27 @@ mod tests {
         let mut cr = c0t.clone();
         larf_right(&u, tau, n, m, cr.as_mut_slice(), n, &mut work);
         assert!(cr.approx_eq(&c0t.multiply(&h).unwrap(), 1e-13));
+    }
+
+    #[test]
+    fn larf_left_right_match_dense_c64() {
+        let (m, n) = (5, 4);
+        let mut x = vec![c64(0.3, 0.2), c64(-0.4, 0.6), c64(0.1, -0.9), c64(0.5, 0.0)];
+        let (_, tau) = larfg(c64(0.7, -0.3), &mut x);
+        let mut v = vec![C64::ONE];
+        v.extend_from_slice(&x);
+        let h = dense_hc(&v, tau);
+        let c0 = rand_cmat(m, n, 9);
+        let mut work = vec![C64::ZERO; m.max(n)];
+
+        let mut c = c0.clone();
+        larf_left(&v, tau, m, n, c.as_mut_slice(), m, &mut work);
+        assert!(c.max_diff(&h.multiply(&c0)) < 1e-13);
+
+        let c0t = rand_cmat(n, m, 10);
+        let mut cr = c0t.clone();
+        larf_right(&v, tau, n, m, cr.as_mut_slice(), n, &mut work);
+        assert!(cr.max_diff(&c0t.multiply(&h)) < 1e-13);
     }
 
     #[test]
@@ -543,6 +646,80 @@ mod tests {
         let _ = tm;
         want = Matrix::identity(m);
         let _ = want;
+    }
+
+    #[test]
+    fn larft_compact_wy_identity_c64() {
+        let m = 7;
+        let k = 3;
+        let mut v = CMatrix::zeros(m, k);
+        let mut taus = vec![C64::ZERO; k];
+        for c in 0..k {
+            let mut tail: Vec<C64> = (0..m - c - 1)
+                .map(|r| {
+                    c64(
+                        ((r + c) % 3) as f64 * 0.3 - 0.2,
+                        ((r * c + 1) % 4) as f64 * 0.25,
+                    )
+                })
+                .collect();
+            let (_, tau) = larfg(c64(0.4, 0.1), &mut tail);
+            v[(c, c)] = C64::ONE;
+            for (r, &val) in tail.iter().enumerate() {
+                v[(c + 1 + r, c)] = val;
+            }
+            taus[c] = tau;
+        }
+        let mut t = vec![C64::ZERO; k * k];
+        larft(m, k, v.as_slice(), m, &taus, &mut t, k);
+        // Dense product H_1 H_2 H_3.
+        let mut hprod = CMatrix::identity(m);
+        for c in 0..k {
+            let vc: Vec<C64> = (0..m).map(|r| v[(r, c)]).collect();
+            hprod = hprod.multiply(&dense_hc(&vc, taus[c]));
+        }
+        // I - V T V^H.
+        let tm = CMatrix::from_fn(k, k, |i, j| t[i + j * k]);
+        let vtv = v.multiply(&tm).multiply(&v.adjoint());
+        let got = CMatrix::from_fn(m, m, |i, j| {
+            let idp = if i == j { C64::ONE } else { C64::ZERO };
+            idp - vtv[(i, j)]
+        });
+        assert!(got.max_diff(&hprod) < 1e-12);
+
+        // larfb applies H and H^H = I - V T^H V^H from both sides.
+        let c0 = rand_cmat(m, 4, 11);
+        let mut c = c0.clone();
+        larfb(
+            Side::Left,
+            Trans::Yes,
+            m,
+            4,
+            k,
+            v.as_slice(),
+            m,
+            &t,
+            k,
+            c.as_mut_slice(),
+            m,
+        );
+        assert!(c.max_diff(&hprod.adjoint().multiply(&c0)) < 1e-12);
+        let c0r = rand_cmat(4, m, 12);
+        let mut cr = c0r.clone();
+        larfb(
+            Side::Right,
+            Trans::No,
+            4,
+            m,
+            k,
+            v.as_slice(),
+            m,
+            &t,
+            k,
+            cr.as_mut_slice(),
+            4,
+        );
+        assert!(cr.max_diff(&c0r.multiply(&hprod)) < 1e-12);
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //!   independent of everything above, that tests compare against.
 //!
 //! All kernels follow LAPACK conventions: column-major storage passed as
-//! `(&[f64], ld)` pairs, lower-triangular symmetric storage.
+//! `(&[T], ld)` pairs, lower-triangular symmetric (Hermitian) storage.
+//! The Householder, QR, `symm` and `syr2k` kernels are generic over the
+//! element type with Hermitian semantics, so one copy serves the real
+//! and the complex pipelines.
 
 // BLAS-style entry points pass every dimension/stride explicitly; the
 // argument counts are the interface, not an accident.

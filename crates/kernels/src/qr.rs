@@ -1,47 +1,50 @@
 //! Blocked QR factorization and explicit Q formation.
 //!
 //! The first stage of the two-stage reduction QR-factorizes each
-//! sub-diagonal panel; [`geqrf`] is that panel factorization. [`orgqr`]
-//! materializes `Q` explicitly and exists mainly so tests can verify
-//! orthogonality directly.
+//! sub-diagonal panel; [`geqrf`] is that panel factorization, generic
+//! over the element type like the Householder kernels it is built on
+//! (`zgeqrf` semantics on the complex types: `A = Q R` with `R`'s
+//! diagonal real). [`orgqr`] materializes `Q` explicitly and exists
+//! mainly so tests can verify orthogonality directly.
 
+use crate::blas3::engine::GemmScalar;
 use crate::blas3::Trans;
 use crate::contract;
-use crate::householder::{larfb_with_work, larfg, larft, Side};
-use tseig_matrix::workspace::MemReq;
-use tseig_matrix::Matrix;
+use crate::householder::{larf_left, larfb_with_work, larfg, larft, Side};
+use tseig_matrix::workspace::{reset_zeroed, MemReq};
+use tseig_matrix::{ComplexScalar, Matrix, Scalar};
 
 /// Reusable workspace for [`geqrf_ws`]: one buffer per scratch object the
 /// allocating entry points create per call. After the first call at a
 /// given shape the capacities are warm and subsequent calls never touch
 /// the allocator.
 #[derive(Debug)]
-pub struct QrWs {
+pub struct QrWs<T = f64> {
     /// `geqr2` row workspace (length `n` of the current panel).
-    pub work: Vec<f64>,
+    pub work: Vec<T>,
     /// `geqr2` reflector head buffer (length `m`).
-    pub u: Vec<f64>,
-    /// Explicit-V panel of the blocked update.
-    pub v: Matrix,
+    pub u: Vec<T>,
+    /// Explicit-V panel of the blocked update, column-major.
+    pub v: Vec<T>,
     /// `T` factor of the blocked update (`kk x kk`, column-major).
-    pub t: Vec<f64>,
+    pub t: Vec<T>,
     /// `larfb` workspace (`2 * k * n` for a left application).
-    pub larfb: Vec<f64>,
+    pub larfb: Vec<T>,
 }
 
-impl Default for QrWs {
-    fn default() -> QrWs {
+impl<T: Scalar> Default for QrWs<T> {
+    fn default() -> Self {
         QrWs::new()
     }
 }
 
-impl QrWs {
+impl<T: Scalar> QrWs<T> {
     /// Fresh, empty workspace (buffers grow on first use).
-    pub fn new() -> QrWs {
+    pub fn new() -> Self {
         QrWs {
             work: Vec::new(),
             u: Vec::new(),
-            v: Matrix::zeros(0, 0),
+            v: Vec::new(),
             t: Vec::new(),
             larfb: Vec::new(),
         }
@@ -49,15 +52,17 @@ impl QrWs {
 
     /// Bytes of heap capacity currently retained.
     pub fn capacity_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.work.capacity() + self.u.capacity() + self.t.capacity() + self.larfb.capacity())
-            * size_of::<f64>()
-            + self.v.capacity_bytes()
+        (self.work.capacity()
+            + self.u.capacity()
+            + self.v.capacity()
+            + self.t.capacity()
+            + self.larfb.capacity())
+            * std::mem::size_of::<T>()
     }
 }
 
-/// Workspace requirement of [`geqrf_ws`] for an `m x n` panel factored
-/// with block size `nb`.
+/// Workspace requirement of [`geqrf_ws`] for an `m x n` `f64` panel
+/// factored with block size `nb`.
 pub fn geqrf_req(m: usize, n: usize, nb: usize) -> MemReq {
     let nb = nb.max(1).min(n.max(1));
     MemReq::f64s(n) // geqr2 work
@@ -70,7 +75,7 @@ pub fn geqrf_req(m: usize, n: usize, nb: usize) -> MemReq {
 /// Unblocked QR (LAPACK `geqr2`): on return the upper triangle of `a`
 /// holds `R`, the strict lower triangle holds the reflector tails `v`, and
 /// `tau[j]` the scalar factors.
-pub fn geqr2(m: usize, n: usize, a: &mut [f64], lda: usize, tau: &mut [f64]) {
+pub fn geqr2<T: ComplexScalar>(m: usize, n: usize, a: &mut [T], lda: usize, tau: &mut [T]) {
     let mut work = Vec::new();
     let mut u = Vec::new();
     geqr2_ws(m, n, a, lda, tau, &mut work, &mut u);
@@ -79,14 +84,14 @@ pub fn geqr2(m: usize, n: usize, a: &mut [f64], lda: usize, tau: &mut [f64]) {
 /// [`geqr2`] with caller-owned scratch: `work` and `u` are resized (not
 /// reallocated, once warm) to `n` and `m` elements. Identical arithmetic
 /// in identical order, so results are bitwise-equal to [`geqr2`].
-pub fn geqr2_ws(
+pub fn geqr2_ws<T: ComplexScalar>(
     m: usize,
     n: usize,
-    a: &mut [f64],
+    a: &mut [T],
     lda: usize,
-    tau: &mut [f64],
-    work: &mut Vec<f64>,
-    u: &mut Vec<f64>,
+    tau: &mut [T],
+    work: &mut Vec<T>,
+    u: &mut Vec<T>,
 ) {
     if contract::enabled() {
         contract::require_mat("geqr2", "a", a, m, n, lda);
@@ -95,46 +100,51 @@ pub fn geqr2_ws(
     }
     let k = m.min(n);
     work.clear();
-    work.resize(n, 0.0);
+    work.resize(n, T::ZERO);
     u.clear();
-    u.resize(m, 0.0);
+    u.resize(m, T::ZERO);
     for j in 0..k {
         // Generate reflector for column j, rows j..m.
-        let alpha = a[j + j * lda];
         let (beta, t) = {
             let col = &mut a[j * lda..j * lda + m];
             let (head, tail) = col.split_at_mut(j + 1);
             larfg(head[j], tail)
         };
-        a[j + j * lda] = beta;
+        a[j + j * lda] = T::new(beta, 0.0);
         tau[j] = t;
-        if t == 0.0 || j + 1 == n {
+        if t == T::ZERO || j + 1 == n {
             continue;
         }
-        // Materialize u = [1, v] and apply to the trailing columns.
+        // Materialize u = [1, v] and apply H^H to the trailing columns.
         let mlen = m - j;
-        u[0] = 1.0;
+        u[0] = T::ONE;
         for r in 1..mlen {
             u[r] = a[j + r + j * lda];
         }
         let ncols = n - j - 1;
         // Flops and bytes are accounted inside larf_left.
-        crate::householder::larf_left(
+        larf_left(
             &u[..mlen],
-            t,
+            t.conj(),
             mlen,
             ncols,
             &mut a[j + (j + 1) * lda..],
             lda,
             work,
         );
-        let _ = alpha;
     }
 }
 
 /// Blocked QR (LAPACK `geqrf`): panel `geqr2` + `larft`/`larfb` trailing
 /// update with block size `nb`.
-pub fn geqrf(m: usize, n: usize, a: &mut [f64], lda: usize, tau: &mut [f64], nb: usize) {
+pub fn geqrf<T: ComplexScalar + GemmScalar>(
+    m: usize,
+    n: usize,
+    a: &mut [T],
+    lda: usize,
+    tau: &mut [T],
+    nb: usize,
+) {
     let mut ws = QrWs::new();
     geqrf_ws(m, n, a, lda, tau, nb, &mut ws);
 }
@@ -143,14 +153,14 @@ pub fn geqrf(m: usize, n: usize, a: &mut [f64], lda: usize, tau: &mut [f64], nb:
 /// arithmetic in identical order, so results are bitwise-equal to
 /// [`geqrf`]; the stage-1 planned path calls this with the plan's warm
 /// workspace so repeated panels never allocate.
-pub fn geqrf_ws(
+pub fn geqrf_ws<T: ComplexScalar + GemmScalar>(
     m: usize,
     n: usize,
-    a: &mut [f64],
+    a: &mut [T],
     lda: usize,
-    tau: &mut [f64],
+    tau: &mut [T],
     nb: usize,
-    ws: &mut QrWs,
+    ws: &mut QrWs<T>,
 ) {
     if contract::enabled() {
         contract::require_mat("geqrf", "a", a, m, n, lda);
@@ -180,19 +190,19 @@ pub fn geqrf_ws(
         }
         if j + jb < n {
             // Build clean V and T for the panel, then update the trailing
-            // matrix with a blocked reflector.
+            // matrix with a blocked reflector (Q^H A).
             let QrWs { v, t, larfb, .. } = ws;
-            extract_v_t_into(&a[j + j * lda..], lda, m - j, jb, &tau[j..j + jb], v, t);
+            extract_v_t_vec(&a[j + j * lda..], lda, m - j, jb, &tau[j..j + jb], v, t);
             let wlen = 2 * jb * (n - j - jb);
             larfb.clear();
-            larfb.resize(wlen, 0.0);
+            larfb.resize(wlen, T::ZERO);
             larfb_with_work(
                 Side::Left,
                 Trans::Yes,
                 m - j,
                 n - j - jb,
                 jb,
-                v.as_slice(),
+                v,
                 m - j,
                 t,
                 jb,
@@ -227,15 +237,44 @@ pub fn extract_v_t_into(
     t: &mut Vec<f64>,
 ) {
     v.reset_to(mm, kk);
+    fill_v_t(a, lda, mm, kk, tau, v.as_mut_slice(), t);
+}
+
+/// [`extract_v_t_into`] for any element type, with `V` kept as a
+/// column-major `mm x kk` buffer.
+pub fn extract_v_t_vec<T: ComplexScalar>(
+    a: &[T],
+    lda: usize,
+    mm: usize,
+    kk: usize,
+    tau: &[T],
+    v: &mut Vec<T>,
+    t: &mut Vec<T>,
+) {
+    reset_zeroed(v, mm * kk);
+    fill_v_t(a, lda, mm, kk, tau, v, t);
+}
+
+/// Shared body of the `extract_v_t*` family: `v` is a zeroed `mm x kk`
+/// buffer.
+fn fill_v_t<T: ComplexScalar>(
+    a: &[T],
+    lda: usize,
+    mm: usize,
+    kk: usize,
+    tau: &[T],
+    v: &mut [T],
+    t: &mut Vec<T>,
+) {
     for col in 0..kk {
-        v[(col, col)] = 1.0;
+        v[col + col * mm] = T::ONE;
         for r in col + 1..mm {
-            v[(r, col)] = a[r + col * lda];
+            v[r + col * mm] = a[r + col * lda];
         }
     }
     t.clear();
-    t.resize(kk * kk, 0.0);
-    larft(mm, kk, v.as_slice(), mm, tau, t, kk);
+    t.resize(kk * kk, T::ZERO);
+    larft(mm, kk, v, mm, tau, t, kk);
 }
 
 /// Form the leading `m x m` orthogonal factor `Q = H_1 ... H_k`
@@ -255,7 +294,7 @@ pub fn orgqr(m: usize, k: usize, a: &[f64], lda: usize, tau: &[f64]) -> Matrix {
             u[r] = a[j + r + j * lda];
         }
         let ldq = q.rows();
-        crate::householder::larf_left(
+        larf_left(
             &u[..mlen],
             tau[j],
             mlen,
@@ -345,6 +384,56 @@ mod tests {
         assert!(a1.approx_eq(&a2, 1e-12));
         for (t1, t2) in tau1.iter().zip(&tau2) {
             assert!((t1 - t2).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn qr_reconstructs_c64() {
+        // Unblocked and blocked complex QR: Q R == A with Q unitary and
+        // R's diagonal real.
+        use tseig_matrix::{c64, CMatrix, C64};
+        let (m, n) = (8, 5);
+        let a0 = {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(11);
+            CMatrix::from_fn(m, n, |_, _| {
+                c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+            })
+        };
+        for nb in [0, 2] {
+            let mut a = a0.clone();
+            let mut tau = vec![C64::ZERO; n];
+            if nb == 0 {
+                geqr2(m, n, a.as_mut_slice(), m, &mut tau);
+            } else {
+                geqrf(m, n, a.as_mut_slice(), m, &mut tau, nb);
+            }
+            // Materialize Q by applying reflectors to I in reverse.
+            let mut q = CMatrix::identity(m);
+            let mut u = vec![C64::ZERO; m];
+            let mut work = vec![C64::ZERO; m];
+            for j in (0..n).rev() {
+                let rows = m - j;
+                u[0] = C64::ONE;
+                for r in 1..rows {
+                    u[r] = a[(j + r, j)];
+                }
+                let ldq = q.ld();
+                larf_left(
+                    &u[..rows],
+                    tau[j],
+                    rows,
+                    m,
+                    &mut q.as_mut_slice()[j..],
+                    ldq,
+                    &mut work,
+                );
+            }
+            let r = CMatrix::from_fn(m, n, |i, j| if i <= j { a[(i, j)] } else { C64::ZERO });
+            assert!(q.multiply(&r).max_diff(&a0) < 1e-12, "QR != A (nb={nb})");
+            assert!(q.multiply(&q.adjoint()).max_diff(&CMatrix::identity(m)) < 1e-12);
+            assert!((0..n).all(|j| a[(j, j)].im == 0.0), "R diagonal not real");
         }
     }
 

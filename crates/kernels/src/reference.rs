@@ -1,12 +1,75 @@
-//! Reference eigensolver: cyclic Jacobi.
+//! Reference oracles: the cyclic Jacobi eigensolver and a triple-loop
+//! `gemm`.
 //!
 //! Deliberately independent of every reduction code path in this
-//! workspace — it uses only plane rotations on the dense matrix — so the
-//! integration tests can use it as an *oracle* for both the one-stage and
-//! the two-stage pipelines. `O(n^3)` per sweep; intended for `n` up to a
-//! few hundred.
+//! workspace — Jacobi uses only plane rotations on the dense matrix — so
+//! the integration tests can use it as an *oracle* for both the
+//! one-stage and the two-stage pipelines. `O(n^3)` per sweep; intended
+//! for `n` up to a few hundred. [`gemm_oracle`] is the differential
+//! baseline the packed engine is tested (and its speedup measured)
+//! against, at every element type.
 
-use tseig_matrix::{Error, Matrix, Result};
+use crate::blas3::Op;
+use crate::flops::{add, add_bytes, Level};
+use tseig_matrix::{Error, Matrix, Result, Scalar};
+
+/// Naive triple-loop `C <- alpha op(A) op(B) + beta C`, all
+/// `No`/`Trans`/`ConjTrans` combinations, with BLAS semantics: `beta ==
+/// 0` overwrites `C` without reading it and `alpha == 0` (or `k == 0`)
+/// leaves `beta C`. Not called by the pipeline. Byte accounting is the
+/// streamed model (`A`/`B` read once, `C` read and written once) that
+/// its unblocked access pattern actually has.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_oracle<T: Scalar>(
+    opa: Op,
+    opb: Op,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    beta: T,
+    c: &mut [T],
+    ldc: usize,
+) {
+    add(Level::L3, T::MULADD_FLOPS * (m * n * k) as u64);
+    add_bytes(Level::L3, T::BYTES * (m * k + k * n + 2 * m * n) as u64);
+    for j in 0..n {
+        let col = &mut c[j * ldc..j * ldc + m];
+        if beta == T::ZERO {
+            col.fill(T::ZERO);
+        } else if beta != T::ONE {
+            for v in col.iter_mut() {
+                *v *= beta;
+            }
+        }
+    }
+    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let at = |i: usize, p: usize| match opa {
+        Op::No => a[i + p * lda],
+        Op::Trans => a[p + i * lda],
+        Op::ConjTrans => a[p + i * lda].conj(),
+    };
+    let bt = |p: usize, j: usize| match opb {
+        Op::No => b[p + j * ldb],
+        Op::Trans => b[j + p * ldb],
+        Op::ConjTrans => b[j + p * ldb].conj(),
+    };
+    for j in 0..n {
+        for i in 0..m {
+            let mut s = T::ZERO;
+            for p in 0..k {
+                s += at(i, p) * bt(p, j);
+            }
+            c[i + j * ldc] += alpha * s;
+        }
+    }
+}
 
 /// Result of a Jacobi diagonalization: eigenvalues ascending, and the
 /// matching eigenvectors as columns (if requested).

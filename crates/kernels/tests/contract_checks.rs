@@ -12,6 +12,7 @@ use tseig_kernels::blas3::{
     syr2k_lower_par, syrk_lower, Trans,
 };
 use tseig_kernels::householder::{larfb_with_work, larft, Side};
+use tseig_matrix::{c64, C64};
 
 fn filled(len: usize, seed: u64) -> Vec<f64> {
     use rand::rngs::StdRng;
@@ -20,11 +21,19 @@ fn filled(len: usize, seed: u64) -> Vec<f64> {
     (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
 
+/// [`filled`] at `C64`: the complex instantiations of the generic
+/// kernels carry the same contracts.
+fn filled_c(len: usize, seed: u64) -> Vec<C64> {
+    let re = filled(len, seed);
+    let im = filled(len, seed ^ 0x5a5a);
+    re.into_iter().zip(im).map(|(r, i)| c64(r, i)).collect()
+}
+
 /// Carve an aliased (read, write) view pair from one buffer, the way a
 /// caller slicing from leaked or raw-parts storage could. The kernels'
 /// alias contract must abort before a single element is dereferenced, so
 /// the overlap is never actually exercised.
-fn aliased_pair(buf: &mut [f64]) -> (&[f64], &mut [f64]) {
+fn aliased_pair<T>(buf: &mut [T]) -> (&[T], &mut [T]) {
     let ptr = buf.as_mut_ptr();
     let len = buf.len();
     // SAFETY: both views cover one live allocation; the contract under
@@ -196,6 +205,37 @@ fn larfb_rejects_t_with_nonzero_strict_lower() {
     );
 }
 
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "must be upper triangular")]
+fn larfb_rejects_t_with_nonzero_strict_lower_c64() {
+    let (m, n, k) = (6, 3, 3);
+    let mut v = filled_c(m * k, 1);
+    for j in 0..k {
+        v[j * m..j * m + j].fill(C64::ZERO);
+        v[j + j * m] = C64::ONE;
+    }
+    let mut t = vec![C64::ZERO; k * k];
+    larft(m, k, &v, m, &filled_c(k, 2), &mut t, k);
+    t[1] = c64(0.0, 1e-3); // (1, 0): strictly lower
+    let mut c = filled_c(m * n, 3);
+    let mut work = vec![C64::ZERO; 2 * k * n];
+    larfb_with_work(
+        Side::Left,
+        Trans::Yes,
+        m,
+        n,
+        k,
+        &v,
+        m,
+        &t,
+        k,
+        &mut c,
+        m,
+        &mut work,
+    );
+}
+
 // ---------------------------------------------------------------------
 // Aliased in/out operands.
 // ---------------------------------------------------------------------
@@ -218,6 +258,16 @@ fn syr2k_rejects_aliased_b_and_c() {
     let mut buf = filled(16, 2);
     let (b, c) = aliased_pair(&mut buf);
     syr2k_lower(4, 2, 1.0, &a, 4, b, 4, 0.0, c, 4);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+#[should_panic(expected = "overlaps output")]
+fn syr2k_rejects_aliased_b_and_c_c64() {
+    let a = filled_c(8, 1);
+    let mut buf = filled_c(16, 2);
+    let (b, c) = aliased_pair(&mut buf);
+    syr2k_lower(4, 2, C64::ONE, &a, 4, b, 4, C64::ZERO, c, 4);
 }
 
 #[test]
@@ -295,6 +345,37 @@ mod paranoid {
         let mut c = vec![0.0; 8];
         symm_lower_left(4, 2, 1.0, &a, 4, &b, 4, 0.0, &mut c, 4);
         assert!(c.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+    #[should_panic(expected = "non-finite input poison")]
+    fn hemm_catches_nan_in_lower_triangle_c64() {
+        let mut a = filled_c(16, 1);
+        a[2] = c64(0.5, f64::NAN); // (2, 0): strictly lower, inside the read set
+        let b = filled_c(8, 2);
+        let mut c = vec![C64::ZERO; 8];
+        symm_lower_left(4, 2, C64::ONE, &a, 4, &b, 4, C64::ZERO, &mut c, 4);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+    fn hemm_ignores_nan_in_mirrored_triangle_c64() {
+        let mut a = filled_c(16, 1);
+        a[4] = c64(f64::NAN, f64::NAN); // (0, 1): strictly upper
+        let b = filled_c(8, 2);
+        let mut c = vec![C64::ZERO; 8];
+        symm_lower_left(4, 2, C64::ONE, &a, 4, &b, 4, C64::ZERO, &mut c, 4);
+        assert!(c.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "contracts compile out in release")]
+    #[should_panic(expected = "non-finite input poison")]
+    fn larfg_catches_nan_in_x_c64() {
+        let mut x = filled_c(5, 1);
+        x[3] = c64(f64::INFINITY, 0.0);
+        tseig_kernels::householder::larfg(c64(0.5, -0.5), &mut x);
     }
 }
 

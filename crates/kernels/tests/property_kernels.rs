@@ -2,10 +2,12 @@
 
 use proptest::prelude::*;
 use tseig_kernels::blas3::{
-    gemm, gemm_par_with, symm_lower_left, symm_lower_left_par, syr2k_lower, syr2k_lower_par, Trans,
+    gemm, gemm_par_with, op, symm_lower_left, symm_lower_left_par, syr2k_lower, syr2k_lower_par,
+    Trans,
 };
 use tseig_kernels::householder::{larfb, larfg, larft, Side};
 use tseig_kernels::qr::{geqrf, orgqr};
+use tseig_kernels::reference::gemm_oracle;
 use tseig_matrix::{gen, norms, Matrix};
 
 fn rand_mat(m: usize, n: usize, seed: u64) -> Matrix {
@@ -13,40 +15,6 @@ fn rand_mat(m: usize, n: usize, seed: u64) -> Matrix {
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(m, n, |_, _| rng.gen_range(-1.0..1.0))
-}
-
-/// Plain triple-loop `C <- alpha op(A) op(B) + beta C` with BLAS
-/// semantics: `beta == 0` overwrites `C` without reading it and
-/// `alpha == 0` (or `k == 0`) leaves `beta C`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_oracle(
-    ta: Trans,
-    tb: Trans,
-    (m, n, k): (usize, usize, usize),
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    let op_a = |i: usize, l: usize| match ta {
-        Trans::No => a[(i, l)],
-        Trans::Yes => a[(l, i)],
-    };
-    let op_b = |l: usize, j: usize| match tb {
-        Trans::No => b[(l, j)],
-        Trans::Yes => b[(j, l)],
-    };
-    for j in 0..n {
-        for i in 0..m {
-            let cij = &mut c[i + j * ldc];
-            *cij = if beta == 0.0 { 0.0 } else { beta * *cij };
-            if alpha != 0.0 {
-                *cij += alpha * (0..k).map(|l| op_a(i, l) * op_b(l, j)).sum::<f64>();
-            }
-        }
-    }
 }
 
 proptest! {
@@ -192,7 +160,8 @@ proptest! {
         }
         gemm(ta, tb, m, n, k, alpha,
              a.as_slice(), a.rows(), b.as_slice(), b.rows(), beta, &mut c1, ldc);
-        gemm_oracle(ta, tb, (m, n, k), alpha, &a, &b, beta, &mut c2, ldc);
+        gemm_oracle(op::<f64>(ta), op::<f64>(tb), m, n, k, alpha,
+                    a.as_slice(), a.rows(), b.as_slice(), b.rows(), beta, &mut c2, ldc);
         for j in 0..n {
             for i in 0..m {
                 prop_assert!((c1[i + j * ldc] - c2[i + j * ldc]).abs() < 1e-11, "({i},{j})");

@@ -477,6 +477,15 @@ impl<T: ComplexScalar> CMatrixG<T> {
     }
 }
 
+impl<T: ComplexScalar> crate::dense::ColMajorMut<T> for CMatrixG<T> {
+    fn nrows(&self) -> usize {
+        self.rows
+    }
+    fn col_major_mut(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+}
+
 impl<T: ComplexScalar> std::ops::Index<(usize, usize)> for CMatrixG<T> {
     type Output = T;
     #[inline]

@@ -257,6 +257,25 @@ impl Matrix {
     }
 }
 
+/// A dense matrix stored column-major with leading dimension = rows, as
+/// element-type-generic code sees it: lets it take a `Matrix` and a
+/// `CMatrixG` alike and still check the row count of its input.
+pub trait ColMajorMut<T> {
+    /// Number of rows (the leading dimension of the buffer).
+    fn nrows(&self) -> usize;
+    /// Whole buffer, column-major, mutable.
+    fn col_major_mut(&mut self) -> &mut [T];
+}
+
+impl ColMajorMut<f64> for Matrix {
+    fn nrows(&self) -> usize {
+        self.rows
+    }
+    fn col_major_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+}
+
 impl Default for Matrix {
     /// The empty `0 x 0` matrix.
     fn default() -> Matrix {

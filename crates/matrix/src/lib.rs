@@ -35,7 +35,7 @@ pub mod workspace;
 pub use band::{GeBandMatrix, SymBandMatrix};
 pub use complex::{c32, c64, CMatrix, CMatrixG, C32, C64};
 pub use ctrl::{CancelToken, Ctrl, Deadline, MemBudget};
-pub use dense::Matrix;
+pub use dense::{ColMajorMut, Matrix};
 pub use diagnostics::{Recorder, Recovery, SolveDiagnostics, VerifyLevel, VerifyReport};
 pub use error::{Error, Result};
 pub use scalar::{ComplexScalar, Scalar};

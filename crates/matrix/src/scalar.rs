@@ -10,11 +10,14 @@
 //! for the Hermitian one — and every driver runs on the same
 //! monomorphized engine.
 //!
-//! [`ComplexScalar`] is the extra surface the Hermitian pipeline needs
-//! beyond the engine: component accessors, magnitudes and scaling, all
-//! routed through `f64` so the pipeline's control logic (Householder
-//! norms, phase extraction, verification bounds) is written once and is
-//! *more* accurate than the component precision at `C32`.
+//! [`ComplexScalar`] is the extra surface the Householder kernels and
+//! the Hermitian pipeline need beyond the engine: component accessors,
+//! magnitudes and scaling, all routed through `f64` so the control logic
+//! (Householder norms, phase extraction, verification bounds) is written
+//! once and is *more* accurate than the component precision at `C32`.
+//! `f64` implements it too, as the real field with a zero imaginary
+//! part (the way faer's `ComplexField` covers the real types), so one
+//! Hermitian-semantics kernel serves the symmetric case at `f64`.
 //!
 //! ## Determinism contract
 //!
@@ -205,16 +208,19 @@ impl Scalar for C32 {
     }
 }
 
-/// The surface the Hermitian pipeline needs beyond [`Scalar`]: component
+/// The surface the Householder kernels need beyond [`Scalar`]: component
 /// access, magnitudes and real scaling, all `f64`-valued. `C32` widens
-/// its components on read and rounds on write, so the pipeline's scalar
-/// bookkeeping (reflector norms, phases, verification) runs in `f64` for
-/// both precisions and only the O(n³) BLAS-3 traffic is narrow.
+/// its components on read and rounds on write, so the scalar bookkeeping
+/// (reflector norms, phases, verification) runs in `f64` for both
+/// precisions and only the O(n³) BLAS-3 traffic is narrow. On `f64`
+/// every method is the exact real special case (`im() == 0`,
+/// `mul_conj` a plain product), so a kernel written against this trait
+/// runs the same operations at `f64` as a real-only one would.
 pub trait ComplexScalar: Scalar + Div<Output = Self> {
     /// Machine epsilon of the *component* type, as `f64`; verification
     /// and convergence bounds scale with this.
     const EPS: f64;
-    /// Lower-case LAPACK-style type tag (`"c32"` / `"c64"`), used by
+    /// Lower-case LAPACK-style type tag (`"f64"` / `"c32"` / `"c64"`), used by
     /// diagnostics and the batch JSONL schema.
     const TAG: &'static str;
 
@@ -232,6 +238,47 @@ pub trait ComplexScalar: Scalar + Div<Output = Self> {
     fn scale(self, s: f64) -> Self;
     /// `self * other.conj()`.
     fn mul_conj(self, other: Self) -> Self;
+}
+
+impl ComplexScalar for f64 {
+    const EPS: f64 = f64::EPSILON;
+    const TAG: &'static str = "f64";
+
+    /// The real part; the imaginary part is dropped.
+    #[inline(always)]
+    fn new(re: f64, _im: f64) -> Self {
+        re
+    }
+
+    #[inline(always)]
+    fn re(self) -> f64 {
+        self
+    }
+
+    #[inline(always)]
+    fn im(self) -> f64 {
+        0.0
+    }
+
+    #[inline(always)]
+    fn abs(self) -> f64 {
+        f64::abs(self)
+    }
+
+    #[inline(always)]
+    fn abs2(self) -> f64 {
+        self * self
+    }
+
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        self * s
+    }
+
+    #[inline(always)]
+    fn mul_conj(self, other: Self) -> Self {
+        self * other
+    }
 }
 
 impl ComplexScalar for C64 {
@@ -381,6 +428,16 @@ mod tests {
         let w = <C64 as ComplexScalar>::new(3.0, 4.0);
         assert_eq!(ComplexScalar::abs(w), 5.0);
         assert_eq!(w.scale(2.0), c64(6.0, 8.0));
+    }
+
+    #[test]
+    fn f64_is_the_real_field() {
+        assert_eq!(<f64 as ComplexScalar>::new(2.5, 7.0), 2.5);
+        assert_eq!(ComplexScalar::im(-3.0f64), 0.0);
+        assert_eq!(ComplexScalar::abs(-3.0f64), 3.0);
+        assert_eq!(ComplexScalar::abs2(-3.0f64), 9.0);
+        assert_eq!((-3.0f64).mul_conj(2.0), -6.0);
+        assert_eq!(<f64 as ComplexScalar>::TAG, "f64");
     }
 
     #[test]

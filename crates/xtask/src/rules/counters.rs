@@ -12,11 +12,10 @@ use crate::source::{fn_spans, SourceFile};
 use crate::Diag;
 
 /// Does the paired-counter rule apply to this workspace-relative path?
-/// Kernel sources are the `tseig-kernels` crate plus the complex kernels
-/// of the hermitian crate; `flops.rs` defines the counters themselves.
+/// Kernel sources are the `tseig-kernels` crate (every element type's
+/// kernels live there); `flops.rs` defines the counters themselves.
 pub fn applies_to(rel_path: &str) -> bool {
-    (rel_path.starts_with("crates/kernels/src/") && !rel_path.ends_with("flops.rs"))
-        || rel_path.ends_with("ckernels.rs")
+    rel_path.starts_with("crates/kernels/src/") && !rel_path.ends_with("flops.rs")
 }
 
 pub fn check(file: &SourceFile, diags: &mut Vec<Diag>) {
@@ -82,11 +81,5 @@ mod tests {
         assert!(run("crates/kernels/src/flops.rs", src).is_empty());
         let test_src = "#[cfg(test)]\nmod tests {\n    fn a() { add(Level::L3, 1); }\n}\n";
         assert!(run("crates/kernels/src/blas1.rs", test_src).is_empty());
-    }
-
-    #[test]
-    fn ckernels_are_in_scope() {
-        let src = "fn zgemm() { add(Level::L3, 8); }\n";
-        assert_eq!(run("crates/hermitian/src/ckernels.rs", src).len(), 1);
     }
 }
