@@ -20,19 +20,20 @@ use tseig_bench::{default_nb, workload};
 use tseig_core::backtransform::{apply_q, apply_q1, apply_q2, apply_q_with_phases};
 
 /// Hermitian counterpart: fused one-pass `D + Q2 + Q1` against the
-/// unfused trio, through the same back-transformation engine at `C64`. `n` is kept
-/// moderate (the complex chase setup is Level-2 and dominates the bench
-/// wall-time); at this size the working set still fits L3, so parity —
-/// not a win — is the expected (and asserted-by-eye) outcome; the case
-/// exists to track the complex fused path over time.
+/// unfused trio, through the same back-transformation engine at `C64`,
+/// on a band form and chase from the same generic `sy2sb`/`reduce`. At
+/// this `n` the working set still fits L3, so parity — not a win — is
+/// the expected (and asserted-by-eye) outcome; the case exists to track
+/// the complex fused path over time.
 fn backtransform_hermitian(c: &mut Criterion) {
     use tseig_core::backtransform::apply_phases;
     let n = 768;
     let nb = 24;
     let ell = (nb / 2).max(1);
     let a = tseig_hermitian::validate::rand_hermitian(n, 0xC1);
-    let bf = tseig_hermitian::stage1::he2hb(&a, nb);
-    let chase = tseig_hermitian::stage2::reduce(bf.band.clone(), nb);
+    let bf = tseig_core::stage1::sy2sb(&a, nb, 0);
+    let chase = tseig_core::stage2::reduce(bf.band.clone());
+    let phases = chase.phases.as_deref().expect("complex chase folds phases");
     let e = tseig_matrix::CMatrix::identity(n);
 
     let mut g = c.benchmark_group("backtransform_hermitian");
@@ -40,7 +41,7 @@ fn backtransform_hermitian(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("unfused_d_q2_q1", n), |b| {
         b.iter(|| {
             let mut z = e.clone();
-            apply_phases(&chase.phases, &mut z);
+            apply_phases(phases, &mut z);
             apply_q2(&chase.v2, &mut z, ell, 0);
             apply_q1(&bf.panels, &mut z, 0);
             z
@@ -49,7 +50,7 @@ fn backtransform_hermitian(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("fused_apply_q", n), |b| {
         b.iter(|| {
             let mut z = e.clone();
-            apply_q_with_phases(&chase.v2, &bf.panels, Some(&chase.phases), &mut z, ell, 0);
+            apply_q_with_phases(&chase.v2, &bf.panels, Some(phases), &mut z, ell, 0);
             z
         })
     });

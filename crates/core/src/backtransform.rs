@@ -695,6 +695,24 @@ mod tests {
         let recon = q2.multiply(&t).unwrap().multiply(&q2.transpose()).unwrap();
         let tol = 100.0 * norms::norm1(&bdense) * 18.0 * norms::EPS;
         assert!(recon.approx_eq(&bdense, tol), "Q2 T Q2^T != B");
+
+        // C64 with the phase fold: B == Q2 (D T D^H) Q2^H.
+        let (n, b) = (12, 3);
+        let band = SymBandMatrix::from_dense_lower(&gen::random_hermitian(n, 63), b, b);
+        let bdense = CMatrix::from_fn(n, n, |i, j| band.get(i, j));
+        let r = reduce(band);
+        let phases = r.phases.expect("complex chase folds phases");
+        let mut q2 = CMatrix::identity(n);
+        apply_q2_naive(&r.v2, &mut q2);
+        let t = r.tridiagonal.to_dense();
+        let tc = CMatrix::from_fn(n, n, |i, j| {
+            phases[i] * c64(t[(i, j)], 0.0) * phases[j].conj()
+        });
+        let recon = q2.multiply(&tc).multiply(&q2.adjoint());
+        assert!(
+            recon.max_diff(&bdense) < 1e-10 * n as f64,
+            "C64 Q2 T Q2^H != B"
+        );
     }
 
     #[test]

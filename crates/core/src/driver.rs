@@ -281,8 +281,8 @@ impl SymmetricEigen {
         // Stage 1: dense -> band, into the plan's working copy and band
         // form. The serial scheduler gets the strictly serial BLAS-3
         // variants (the allocation-free path); the scheduled ones keep
-        // the rayon variants. Both orders of reduction are identical
-        // (the parallel split is over independent output columns).
+        // the rayon variants. Each is deterministic, but they are not
+        // bitwise equal: the rayon `symm` sums per-chunk partials.
         let t0 = Instant::now();
         stage1::sy2sb_ws(
             input,
@@ -472,11 +472,11 @@ impl SymmetricEigen {
             self.panel_cols
         };
         MemReq::f64s(n * n) // stage-1 working copy
-            .and(stage1::sy2sb_ws_req(n, nb, self.ib))
-            .and(stage1::sy2sb_out_req(n, nb)) // band form + panels
+            .and(stage1::sy2sb_ws_req::<f64>(n, nb, self.ib))
+            .and(stage1::sy2sb_out_req::<f64>(n, nb)) // band form + panels
             .and(MemReq::f64s((2 * nb + 1) * n)) // chase working band
-            .and(stage2::v2_req(n, nb))
-            .and(stage2::stage2_ws_req(nb))
+            .and(stage2::v2_req::<f64>(n, nb))
+            .and(stage2::stage2_ws_req::<f64>(nb))
             .and(MemReq::f64s(n).and(MemReq::f64s(n - 1))) // tridiagonal
             .and(tseig_tridiag::steqr_planned_req(n))
             .and(crate::backtransform::bt_req(n, nb, ell, pc, n))

@@ -1,7 +1,9 @@
 //! Two-stage symmetric eigensolver with eigenvectors — the paper's
 //! contribution.
 //!
-//! The pipeline (`A` dense symmetric, `f64`):
+//! The pipeline (`A` dense symmetric, `f64`; stages 1, 2 and 4 are
+//! generic over the element type, and `tseig-hermitian` runs them at
+//! `C64`/`C32` for a Hermitian `A`):
 //!
 //! 1. **Stage 1** ([`stage1`]): reduce `A` to a symmetric *band* matrix
 //!    `B` of semi-bandwidth `nb` with blocked Householder panels —

@@ -1,14 +1,14 @@
-//! Stage 1: dense to symmetric band reduction (`sy2sb`).
+//! Stage 1: dense to symmetric (Hermitian) band reduction (`sy2sb`).
 //!
 //! Bischof–Lang SBR-style block reduction. For each panel `k` (columns
 //! `j0..j0+nb`), the sub-panel below the band — rows `r0 = j0+nb .. n` —
-//! is QR-factorized; the resulting block reflector `Q_k = I - V T V^T` is
-//! applied to both sides of the trailing symmetric submatrix through the
-//! symmetric rank-2k form
+//! is QR-factorized; the resulting block reflector `Q_k = I - V T V^H` is
+//! applied to both sides of the trailing Hermitian submatrix through the
+//! rank-2k form
 //!
 //! ```text
-//! W = A V T,   M = V^T W,   X = W - 1/2 V (T^T M),
-//! A <- A - V X^T - X V^T              (syr2k)
+//! W = A V T,   M = V^H W,   X = W - 1/2 V (T^H M),
+//! A <- A - V X^H - X V^H              (syr2k / her2k)
 //! ```
 //!
 //! Everything is Level-3 (`gemm`/`symm`/`syr2k`, each blocked onto the
@@ -17,14 +17,20 @@
 //! recasting that motivates the whole two-stage design.
 //! `V` and `T` are retained per panel for the back-transformation
 //! (`Q1` application, paper Fig. 3a).
+//!
+//! One code path for every element type: `T = f64` is the symmetric
+//! reduction (`conj` is the identity, so `^H` reads `^T`), `C32`/`C64`
+//! the Hermitian one. The dense input is any column-major
+//! [`ColMajorMut`] matrix (`Matrix`, `CMatrixG<T>`).
 
+use tseig_kernels::blas3::engine::GemmScalar;
 use tseig_kernels::blas3::{
     gemm, gemm_par, symm_lower_left, symm_lower_left_par, syr2k_lower, syr2k_lower_par, Trans,
 };
 use tseig_kernels::contract;
 use tseig_kernels::qr::{extract_v_t_vec, geqrf_req, geqrf_ws, QrWs};
-use tseig_matrix::workspace::{reset_f64s, MemReq};
-use tseig_matrix::{Ctrl, Matrix, SymBandMatrix};
+use tseig_matrix::workspace::{reset_zeroed, MemReq};
+use tseig_matrix::{ColMajorMut, ComplexScalar, Ctrl, SymBandMatrix};
 
 /// One panel's block reflector: `Q_k = I - V T V^H` acting on rows
 /// `r0..r0 + rows`. Generic over the element type: the real reduction
@@ -49,17 +55,17 @@ impl<T> Q1Panel<T> {
 }
 
 /// Result of the stage-1 reduction.
-pub struct BandForm {
-    /// The symmetric band matrix `B` (with `nb` extra workspace
-    /// diagonals ready for the bulge chase).
-    pub band: SymBandMatrix,
+pub struct BandForm<T = f64> {
+    /// The symmetric (Hermitian) band matrix `B` (with `nb` extra
+    /// workspace diagonals ready for the bulge chase).
+    pub band: SymBandMatrix<T>,
     /// Panel reflectors composing `Q1` in application order.
-    pub panels: Vec<Q1Panel>,
+    pub panels: Vec<Q1Panel<T>>,
     /// Semi-bandwidth.
     pub nb: usize,
 }
 
-impl BandForm {
+impl<T: ComplexScalar> BandForm<T> {
     /// Bytes of heap capacity retained by the band store and every
     /// panel's `(V, T)` pair (footprint tests).
     pub fn capacity_bytes(&self) -> usize {
@@ -67,12 +73,12 @@ impl BandForm {
             + self
                 .panels
                 .iter()
-                .map(|p| (p.v.capacity() + p.t.capacity()) * std::mem::size_of::<f64>())
+                .map(|p| (p.v.capacity() + p.t.capacity()) * std::mem::size_of::<T>())
                 .sum::<usize>()
     }
 }
 
-impl Default for BandForm {
+impl<T: ComplexScalar> Default for BandForm<T> {
     /// The empty (order-0) band form.
     fn default() -> Self {
         BandForm {
@@ -86,72 +92,86 @@ impl Default for BandForm {
 /// Reusable scratch of the stage-1 reduction: panel QR workspace plus the
 /// four intermediates of the symmetric rank-2k update. All buffers retain
 /// capacity across panels and solves.
-#[derive(Default)]
-pub struct Stage1Ws {
-    tau: Vec<f64>,
-    qr: QrWs,
-    vt: Matrix,
-    w: Matrix,
-    mm: Vec<f64>,
-    tm: Vec<f64>,
+pub struct Stage1Ws<T = f64> {
+    tau: Vec<T>,
+    qr: QrWs<T>,
+    vt: Vec<T>,
+    w: Vec<T>,
+    mm: Vec<T>,
+    tm: Vec<T>,
 }
 
-impl Stage1Ws {
+impl<T: ComplexScalar> Default for Stage1Ws<T> {
+    fn default() -> Self {
+        Stage1Ws {
+            tau: Vec::new(),
+            qr: QrWs::new(),
+            vt: Vec::new(),
+            w: Vec::new(),
+            mm: Vec::new(),
+            tm: Vec::new(),
+        }
+    }
+}
+
+impl<T: ComplexScalar> Stage1Ws<T> {
     pub fn new() -> Self {
         Stage1Ws::default()
     }
 
     /// Retained capacity in bytes (footprint tests).
     pub fn capacity_bytes(&self) -> usize {
-        (self.tau.capacity() + self.mm.capacity() + self.tm.capacity()) * std::mem::size_of::<f64>()
+        [&self.tau, &self.vt, &self.w, &self.mm, &self.tm]
+            .iter()
+            .map(|b| b.capacity())
+            .sum::<usize>()
+            * std::mem::size_of::<T>()
             + self.qr.capacity_bytes()
-            + self.vt.capacity_bytes()
-            + self.w.capacity_bytes()
     }
 }
 
-/// Workspace requirement of [`sy2sb_ws`] for an order-`n` problem
-/// (excluding the caller's `work` copy and the [`BandForm`] output —
-/// see [`sy2sb_out_req`]).
-pub fn sy2sb_ws_req(n: usize, nb: usize, ib: usize) -> MemReq {
+/// Workspace requirement of [`sy2sb_ws`] for an order-`n` problem at
+/// element type `T` (excluding the caller's `work` copy and the
+/// [`BandForm`] output — see [`sy2sb_out_req`]).
+pub fn sy2sb_ws_req<T>(n: usize, nb: usize, ib: usize) -> MemReq {
     let nb = nb.max(1);
     let ib = if ib == 0 { nb } else { ib };
     if n <= nb {
         return MemReq::EMPTY;
     }
     let m0 = n - nb; // largest sub-panel row count
-    MemReq::f64s(nb) // tau
-        .and(geqrf_req(m0, nb, ib))
-        .and(MemReq::f64s(2 * m0 * nb)) // vt + w
-        .and(MemReq::f64s(2 * nb * nb)) // mm + tm
+    MemReq::of::<T>(nb) // tau
+        .and(geqrf_req::<T>(m0, nb, ib))
+        .and(MemReq::of::<T>(2 * m0 * nb)) // vt + w
+        .and(MemReq::of::<T>(2 * nb * nb)) // mm + tm
 }
 
-/// Requirement of [`sy2sb_ws`]'s outputs: the band store plus every
-/// panel's `(V, T)` pair.
-pub fn sy2sb_out_req(n: usize, nb: usize) -> MemReq {
+/// Requirement of [`sy2sb_ws`]'s outputs at element type `T`: the band
+/// store plus every panel's `(V, T)` pair.
+pub fn sy2sb_out_req<T>(n: usize, nb: usize) -> MemReq {
     let nb = nb.max(1);
-    let mut req = MemReq::f64s((2 * nb + 1) * n); // band + workspace diagonals
+    let mut req = MemReq::of::<T>((2 * nb + 1) * n); // band + workspace diagonals
     let mut j0 = 0usize;
     // tidy: allow(checkpoint-loop) -- pure sizing arithmetic, no solver work
     while j0 + nb < n {
         let m = n - (j0 + nb);
         let kb = nb.min(m);
-        req = req.and(MemReq::f64s(m * kb + kb * kb));
+        req = req.and(MemReq::of::<T>(m * kb + kb * kb));
         j0 += nb;
     }
     req
 }
 
-/// Reduce the dense symmetric `a` (lower triangle referenced) to band
-/// form with semi-bandwidth `nb`. `ib` is the inner blocking of the panel
-/// QR (defaults to `nb` when 0).
-pub fn sy2sb(a: &Matrix, nb: usize, ib: usize) -> BandForm {
-    let mut work = Matrix::zeros(0, 0);
-    let mut out = BandForm {
-        band: SymBandMatrix::zeros(0, 0, 0),
-        panels: Vec::new(),
-        nb: 0,
-    };
+/// Reduce the dense symmetric (Hermitian) `a` (lower triangle referenced)
+/// to band form with semi-bandwidth `nb`. `ib` is the inner blocking of
+/// the panel QR (defaults to `nb` when 0).
+pub fn sy2sb<T, M>(a: &M, nb: usize, ib: usize) -> BandForm<T>
+where
+    T: ComplexScalar + GemmScalar,
+    M: ColMajorMut<T> + Default,
+{
+    let mut work = M::default();
+    let mut out = BandForm::default();
     let mut ws = Stage1Ws::new();
     // An inert control never fails a checkpoint.
     let _ = sy2sb_ws(a, nb, ib, true, &mut work, &mut out, &mut ws, &Ctrl::NONE);
@@ -167,26 +187,30 @@ pub fn sy2sb(a: &Matrix, nb: usize, ib: usize) -> BandForm {
 /// aborts between panels with the structured error (outputs are then
 /// partial but the storage stays reusable).
 #[allow(clippy::too_many_arguments)]
-pub fn sy2sb_ws(
-    a: &Matrix,
+pub fn sy2sb_ws<T, M>(
+    a: &M,
     nb: usize,
     ib: usize,
     parallel: bool,
-    work: &mut Matrix,
-    out: &mut BandForm,
-    ws: &mut Stage1Ws,
+    work: &mut M,
+    out: &mut BandForm<T>,
+    ws: &mut Stage1Ws<T>,
     ctrl: &Ctrl,
-) -> tseig_matrix::Result<()> {
-    assert_eq!(a.rows(), a.cols());
-    let n = a.rows();
+) -> tseig_matrix::Result<()>
+where
+    T: ComplexScalar + GemmScalar,
+    M: ColMajorMut<T>,
+{
+    let n = a.nrows();
+    assert_eq!(n, a.ncols());
     if contract::enabled() {
-        contract::require_mat("sy2sb", "a", a.as_slice(), n, n, a.ld());
-        contract::require_finite_lower("sy2sb", "a", a.as_slice(), n, a.ld());
+        contract::require_mat("sy2sb", "a", a.col_major(), n, n, n);
+        contract::require_finite_lower("sy2sb", "a", a.col_major(), n, n);
     }
     let nb = nb.max(1);
     let ib = if ib == 0 { nb } else { ib };
     work.copy_from(a);
-    let lda = work.ld();
+    let lda = n;
     let mut npanels = 0usize;
 
     let mut j0 = 0usize;
@@ -195,12 +219,18 @@ pub fn sy2sb_ws(
         let r0 = j0 + nb;
         let m = n - r0; // rows of the sub-panel
         let kb = nb.min(m); // reflector count of this panel
-                            // QR-factorize the sub-panel A[r0.., j0..j0+nb] in place.
-        reset_f64s(&mut ws.tau, kb);
-        {
-            let panel = &mut work.as_mut_slice()[r0 + j0 * lda..];
-            geqrf_ws(m, nb, panel, lda, &mut ws.tau, ib, &mut ws.qr);
-        }
+        let wk = work.col_major_mut();
+        // QR-factorize the sub-panel A[r0.., j0..j0+nb] in place.
+        reset_zeroed(&mut ws.tau, kb);
+        geqrf_ws(
+            m,
+            nb,
+            &mut wk[r0 + j0 * lda..],
+            lda,
+            &mut ws.tau,
+            ib,
+            &mut ws.qr,
+        );
         // Extract the clean V and T into the (reused) panel slot.
         if out.panels.len() <= npanels {
             out.panels.push(Q1Panel {
@@ -213,22 +243,26 @@ pub fn sy2sb_ws(
         let p = &mut out.panels[npanels];
         p.r0 = r0;
         p.rows = m;
-        {
-            let panel = &work.as_slice()[r0 + j0 * lda..];
-            extract_v_t_vec(panel, lda, m, kb, &ws.tau, &mut p.v, &mut p.t);
-        }
+        extract_v_t_vec(
+            &wk[r0 + j0 * lda..],
+            lda,
+            m,
+            kb,
+            &ws.tau,
+            &mut p.v,
+            &mut p.t,
+        );
         npanels += 1;
         // Zero the annihilated part of the panel in A (below the R
         // factor) so the band extraction below sees the true band; R
         // itself (the new band block) stays.
         for jj in 0..nb {
-            for i in (r0 + jj + 1).min(n)..n {
-                work[(i, j0 + jj)] = 0.0;
-            }
+            let col = (j0 + jj) * lda;
+            wk[col + (r0 + jj + 1).min(n)..col + n].fill(T::ZERO);
         }
-        // Two-sided trailing update A2 <- Q^T A2 Q on A[r0.., r0..].
+        // Two-sided trailing update A2 <- Q^H A2 Q on A[r0.., r0..].
         let p = &out.panels[npanels - 1];
-        two_sided_update(work, r0, &p.v, kb, &p.t, parallel, ws);
+        two_sided_update(wk, lda, r0, &p.v, kb, &p.t, parallel, ws);
         j0 += nb;
     }
 
@@ -238,26 +272,27 @@ pub fn sy2sb_ws(
     Ok(())
 }
 
-/// `A2 <- (I - V T V^T)^T A2 (I - V T V^T)` for the trailing symmetric
-/// block starting at `r0`, via the symmetric rank-2k form.
-fn two_sided_update(
-    a: &mut Matrix,
+/// `A2 <- (I - V T V^H)^H A2 (I - V T V^H)` for the trailing Hermitian
+/// block of the order-`lda` matrix `a` starting at `r0`, via the
+/// Hermitian rank-2k form.
+#[allow(clippy::too_many_arguments)]
+fn two_sided_update<T: ComplexScalar + GemmScalar>(
+    a: &mut [T],
+    lda: usize,
     r0: usize,
-    v: &[f64],
+    v: &[T],
     kb: usize,
-    t: &[f64],
+    t: &[T],
     parallel: bool,
-    ws: &mut Stage1Ws,
+    ws: &mut Stage1Ws<T>,
 ) {
-    let n = a.rows();
-    let lda = a.ld();
-    let m = n - r0;
+    let m = lda - r0;
     if m == 0 || kb == 0 {
         return;
     }
+    let (one, zero) = (T::ONE, T::ZERO);
     // X1 = V T  (m x kb)
-    let vt = &mut ws.vt;
-    vt.reset_to(m, kb);
+    reset_zeroed(&mut ws.vt, m * kb);
     let gemm_big = if parallel { gemm_par } else { gemm };
     gemm_big(
         Trans::No,
@@ -265,110 +300,113 @@ fn two_sided_update(
         m,
         kb,
         kb,
-        1.0,
+        one,
         v,
         m,
         t,
         kb,
-        0.0,
-        vt.as_mut_slice(),
+        zero,
+        &mut ws.vt,
         m,
     );
-    // W = A2 * X1 (symmetric multiply, lower storage)
-    let w = &mut ws.w;
-    w.reset_to(m, kb);
-    {
-        let a2 = &a.as_slice()[r0 + r0 * lda..];
-        let symm = if parallel {
-            symm_lower_left_par
-        } else {
-            symm_lower_left
-        };
-        symm(
-            m,
-            kb,
-            1.0,
-            a2,
-            lda,
-            vt.as_slice(),
-            m,
-            0.0,
-            w.as_mut_slice(),
-            m,
-        );
-    }
-    // M = V^T W (kb x kb)
-    reset_f64s(&mut ws.mm, kb * kb);
+    // W = A2 * X1 (Hermitian multiply, lower storage)
+    reset_zeroed(&mut ws.w, m * kb);
+    let symm = if parallel {
+        symm_lower_left_par
+    } else {
+        symm_lower_left
+    };
+    symm(
+        m,
+        kb,
+        one,
+        &a[r0 + r0 * lda..],
+        lda,
+        &ws.vt,
+        m,
+        zero,
+        &mut ws.w,
+        m,
+    );
+    // M = V^H W (kb x kb)
+    reset_zeroed(&mut ws.mm, kb * kb);
     gemm(
         Trans::Yes,
         Trans::No,
         kb,
         kb,
         m,
-        1.0,
+        one,
         v,
         m,
-        w.as_slice(),
+        &ws.w,
         m,
-        0.0,
+        zero,
         &mut ws.mm,
         kb,
     );
-    // TM = T^T M
-    reset_f64s(&mut ws.tm, kb * kb);
+    // TM = T^H M
+    reset_zeroed(&mut ws.tm, kb * kb);
     gemm(
         Trans::Yes,
         Trans::No,
         kb,
         kb,
         kb,
-        1.0,
+        one,
         t,
         kb,
         &ws.mm,
         kb,
-        0.0,
+        zero,
         &mut ws.tm,
         kb,
     );
     // X = W - 1/2 V TM (accumulated in place: W doubles as X)
-    let x = &mut ws.w;
     gemm_big(
         Trans::No,
         Trans::No,
         m,
         kb,
         kb,
-        -0.5,
+        T::new(-0.5, 0.0),
         v,
         m,
         &ws.tm,
         kb,
-        1.0,
-        x.as_mut_slice(),
+        one,
+        &mut ws.w,
         m,
     );
-    // A2 -= V X^T + X V^T
-    {
-        let a2 = &mut a.as_mut_slice()[r0 + r0 * lda..];
-        let syr2k = if parallel {
-            syr2k_lower_par
-        } else {
-            syr2k_lower
-        };
-        syr2k(m, kb, -1.0, v, m, x.as_slice(), m, 1.0, a2, lda);
-    }
+    // A2 -= V X^H + X V^H
+    let syr2k = if parallel {
+        syr2k_lower_par
+    } else {
+        syr2k_lower
+    };
+    syr2k(
+        m,
+        kb,
+        -one,
+        v,
+        m,
+        &ws.w,
+        m,
+        one,
+        &mut a[r0 + r0 * lda..],
+        lda,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tseig_matrix::{gen, norms};
+    use tseig_matrix::{gen, norms, CMatrix, Matrix};
 
-    /// Materialize Q1 = Q_0 Q_1 ... Q_K explicitly (tests only).
-    pub(crate) fn form_q1(bf: &BandForm, n: usize) -> Matrix {
-        let mut q = Matrix::identity(n);
-        // Apply Q_k from the right: Q <- Q * (I - V T V^T), k ascending
+    /// Materialize Q1 = Q_0 Q_1 ... Q_K explicitly into the order-`n`
+    /// identity `q` (tests only).
+    fn form_q1<T: ComplexScalar + GemmScalar>(bf: &BandForm<T>, n: usize, q: &mut [T]) {
+        // Apply Q_k from the right: Q <- Q * (I - V T V^H), k ascending
         // gives Q = Q_0 Q_1 ... Q_K.
         for p in &bf.panels {
             let m = n - p.r0;
@@ -383,11 +421,10 @@ mod tests {
                 m,
                 &p.t,
                 kb,
-                &mut q.as_mut_slice()[p.r0 * n..],
+                &mut q[p.r0 * n..],
                 n,
             );
         }
-        q
     }
 
     fn check(n: usize, nb: usize, seed: u64) {
@@ -397,7 +434,8 @@ mod tests {
         assert_eq!(bf.band.bandwidth(), nb);
         assert_eq!(bf.band.max_below_subdiagonal(nb), 0.0);
         // A == Q1 B Q1^T.
-        let q = form_q1(&bf, n);
+        let mut q = Matrix::identity(n);
+        form_q1(&bf, n, q.as_mut_slice());
         assert!(
             norms::orthogonality(&q) < 100.0,
             "Q1 not orthogonal n={n} nb={nb}"
@@ -416,6 +454,25 @@ mod tests {
                 d.max_abs()
             }
         );
+
+        // The same reduction at C64: banded, A == Q1 B Q1^H, Q1 unitary.
+        let a = gen::random_hermitian(n, seed);
+        let bf = sy2sb(&a, nb, 0);
+        assert_eq!(bf.band.bandwidth(), nb);
+        assert_eq!(bf.band.max_below_subdiagonal(nb), 0.0);
+        let mut q = CMatrix::identity(n);
+        form_q1(&bf, n, q.as_mut_slice());
+        let b = CMatrix::from_fn(n, n, |i, j| bf.band.get(i, j));
+        let qbq = q.multiply(&b).multiply(&q.adjoint());
+        assert!(
+            qbq.max_diff(&a) < 1e-11 * n as f64,
+            "C64 Q1 B Q1^H != A (n={n}, nb={nb})"
+        );
+        let qqh = q.multiply(&q.adjoint());
+        assert!(
+            qqh.max_diff(&CMatrix::identity(n)) < 1e-11,
+            "C64 Q1 not unitary"
+        );
     }
 
     #[test]
@@ -427,6 +484,7 @@ mod tests {
     fn ragged_tail() {
         check(50, 8, 2);
         check(37, 5, 3);
+        check(24, 5, 41);
     }
 
     #[test]
@@ -451,6 +509,19 @@ mod tests {
             .unwrap()
             .eigenvalues;
         assert!(norms::eigenvalue_distance(&got, &lambda) < 1e-10);
+
+        // C64: the Hermitian band keeps the spectrum (real-embedding oracle).
+        let n = 20;
+        let a = gen::random_hermitian(n, 42);
+        let bf = sy2sb(&a, 4, 0);
+        let b = CMatrix::from_fn(n, n, |i, j| bf.band.get(i, j));
+        let eig = |m: &CMatrix| -> Vec<f64> {
+            let all = tseig_kernels::reference::jacobi_eigen(&m.real_embedding(), false)
+                .unwrap()
+                .eigenvalues;
+            all.iter().step_by(2).copied().collect()
+        };
+        assert!(norms::eigenvalue_distance(&eig(&b), &eig(&a)) < 1e-9);
     }
 
     #[test]
@@ -466,5 +537,10 @@ mod tests {
             },
             1e-15
         ));
+        let a = gen::random_hermitian(5, 43);
+        let bf = sy2sb(&a, 8, 0);
+        assert!(bf.panels.is_empty());
+        let b = CMatrix::from_fn(5, 5, |i, j| bf.band.get(i, j));
+        assert!(b.max_diff(&a) < 1e-14);
     }
 }

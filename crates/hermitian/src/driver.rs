@@ -4,10 +4,11 @@
 //! two-stage pipeline with the tridiagonal eigensolve done entirely in
 //! *real* arithmetic (phases folded back in during the transformation).
 
-use crate::stage1::he2hb_with;
-use crate::stage2::{reduce_scheduled, Scheduler};
 use std::time::Instant;
 use tseig_core::backtransform::apply_q_with_phases;
+use tseig_core::stage1::{sy2sb_ws, BandForm, Stage1Ws};
+use tseig_core::stage2::reduce_scheduled;
+use tseig_core::Scheduler;
 use tseig_kernels::blas3::engine::GemmScalar;
 use tseig_kernels::scaling;
 use tseig_matrix::diagnostics::{Recorder, Recovery, SolveDiagnostics, VerifyLevel, VerifyReport};
@@ -202,13 +203,28 @@ impl HermitianEigen {
         let rec = Recorder::new();
         let mut timings = timings;
 
+        // Stage 1 and the chase are `tseig-core`'s, at the complex element
+        // type. Stage 1 runs its serial BLAS-3 under every scheduler: the
+        // rayon `symm` sums per-chunk partials, which would round a
+        // scheduled solve differently from a serial one, and this
+        // driver's schedulers are bit-identical in results.
         let t0 = Instant::now();
-        let bf = he2hb_with(work, self.nb, &self.ctrl)?;
+        let mut bf = BandForm::default();
+        sy2sb_ws(
+            work,
+            self.nb,
+            0,
+            false,
+            &mut CMatrixG::default(),
+            &mut bf,
+            &mut Stage1Ws::new(),
+            &self.ctrl,
+        )?;
         timings.stage1 = t0.elapsed();
 
         // Stage 2 with the serial-path fallback on scheduled failure.
         let t1 = Instant::now();
-        let chase = match reduce_scheduled(bf.band.clone(), self.nb, self.scheduler, &self.ctrl) {
+        let chase = match reduce_scheduled(bf.band.clone(), self.scheduler, &self.ctrl) {
             Ok(c) => c,
             Err(e) if self.scheduler != Scheduler::Serial => {
                 // A cancel or expired deadline drains the scheduled pool
@@ -216,7 +232,7 @@ impl HermitianEigen {
                 // burning the remaining budget on a serial rerun.
                 self.ctrl.checkpoint()?;
                 rec.record(Recovery::SchedulerFallback { error: e });
-                reduce_scheduled(bf.band.clone(), self.nb, Scheduler::Serial, &self.ctrl)
+                reduce_scheduled(bf.band.clone(), Scheduler::Serial, &self.ctrl)
                     .map_err(Error::Runtime)?
             }
             Err(e) => return Err(Error::Runtime(e)),
@@ -249,7 +265,8 @@ impl HermitianEigen {
             let mut z = CMatrixG::from_fn(e_real.rows(), e_real.cols(), |i, j| {
                 T::new(e_real[(i, j)], 0.0)
             });
-            apply_q_with_phases(&chase.v2, &bf.panels, Some(&chase.phases), &mut z, ell, 0);
+            let phases = chase.phases.as_deref();
+            apply_q_with_phases(&chase.v2, &bf.panels, phases, &mut z, ell, 0);
             timings.backtransform = t3.elapsed();
             Some(z)
         } else {

@@ -10,15 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tseig_matrix::{c64, CMatrix, CMatrixG, ComplexScalar, Matrix};
 
-/// Random dense Hermitian matrix with entries in the unit box.
-pub fn rand_hermitian(n: usize, seed: u64) -> CMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut a = CMatrix::from_fn(n, n, |_, _| {
-        c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-    });
-    a.hermitize_from_lower();
-    a
-}
+pub use tseig_matrix::gen::random_hermitian as rand_hermitian;
 
 /// Hermitian matrix with a prescribed (real) spectrum: random unitary
 /// similarity built from complex Householder reflections.
@@ -70,26 +62,10 @@ pub fn hermitian_with_spectrum(lambda: &[f64], seed: u64) -> CMatrix {
     a
 }
 
-/// Real symmetric `2n x 2n` embedding `[[X, -Y], [Y, X]]`. Components
-/// are widened to `f64` for narrower element types, so the oracle runs
-/// at full precision either way.
-pub fn real_embedding<T: ComplexScalar>(a: &CMatrixG<T>) -> Matrix {
-    let n = a.rows();
-    Matrix::from_fn(2 * n, 2 * n, |i, j| {
-        let (bi, ii) = (i / n, i % n);
-        let (bj, jj) = (j / n, j % n);
-        match (bi, bj) {
-            (0, 0) | (1, 1) => a[(ii, jj)].re(),
-            (0, 1) => -a[(ii, jj)].im(),
-            _ => a[(ii, jj)].im(),
-        }
-    })
-}
-
 /// Oracle eigenvalues of a Hermitian matrix: solve the real embedding
 /// (every eigenvalue doubled) and take every second one.
 pub fn real_embedding_eigenvalues<T: ComplexScalar>(a: &CMatrixG<T>) -> Vec<f64> {
-    let m = real_embedding(a);
+    let m = a.real_embedding();
     let f = tseig_onestage_free_eig(&m);
     f.iter().step_by(2).copied().collect()
 }
@@ -149,7 +125,7 @@ mod tests {
     fn embedding_doubles_spectrum() {
         let n = 8;
         let a = rand_hermitian(n, 50);
-        let m = real_embedding(&a);
+        let m = a.real_embedding();
         // The embedding is symmetric.
         for i in 0..2 * n {
             for j in 0..2 * n {

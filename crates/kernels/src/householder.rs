@@ -1,12 +1,12 @@
 //! Householder reflector tool-chain: `larfg`, `larf`, `larft`, `larfb`.
 //!
 //! One kernel family for the real and the complex pipelines: every
-//! entry point except the chase-only [`larf_sym_two_sided`] is generic
-//! over the element type with Hermitian semantics (`^H` below is the
-//! conjugate transpose, `Trans::Yes` means `op(X) = X^H`). `conj` is the
-//! identity on `f64` and every complex formula is written so that at
-//! `f64` it performs the real kernel's operations in the real kernel's
-//! order — the real results are bitwise those of a real-only kernel.
+//! entry point is generic over the element type with Hermitian
+//! semantics (`^H` below is the conjugate transpose, `Trans::Yes` means
+//! `op(X) = X^H`). `conj` is the identity on `f64` and every complex
+//! formula is written so that at `f64` it performs the real kernel's
+//! operations in the real kernel's order — the real results are bitwise
+//! those of a real-only kernel.
 //!
 //! Conventions (LAPACK-compatible):
 //!
@@ -151,20 +151,21 @@ pub fn larf_right<T: ComplexScalar>(
     }
 }
 
-/// Apply `H = I - tau u u^T` two-sided to a symmetric matrix:
-/// `A <- H A H` (order `n`, **full dense** storage, both triangles kept in
-/// sync). Used by the bulge-chasing kernels on small cache-resident
-/// blocks.
+/// Apply `H = I - tau u u^H` two-sided to a Hermitian matrix:
+/// `A <- H^H A H` (order `n`, **full dense** storage, both triangles kept
+/// in sync, the diagonal kept real). Used by the bulge-chasing kernels on
+/// small cache-resident blocks.
 ///
-/// Uses the symmetric rank-2 form: `w = tau (A u - (tau/2) (u^T A u) u)`,
-/// then `A <- A - u w^T - w u^T`.
-pub fn larf_sym_two_sided(
-    u: &[f64],
-    tau: f64,
+/// Uses the Hermitian rank-2 form (LAPACK `zhetd2`):
+/// `w = tau (A u - (conj(tau)/2) (u^H A u) u)`, then
+/// `A <- A - u w^H - w u^H`.
+pub fn larf_sym_two_sided<T: ComplexScalar>(
+    u: &[T],
+    tau: T,
     n: usize,
-    a: &mut [f64],
+    a: &mut [T],
     lda: usize,
-    work: &mut [f64],
+    work: &mut [T],
 ) {
     if contract::enabled() {
         contract::require_vec("larf_sym_two_sided", "u", u, n);
@@ -173,17 +174,17 @@ pub fn larf_sym_two_sided(
         contract::require_no_alias("larf_sym_two_sided", "u", u, "a", a);
         contract::require_finite_vec("larf_sym_two_sided", "u", u, n);
     }
-    if tau == 0.0 {
+    if tau == T::ZERO {
         return;
     }
-    add(Level::L2, (4 * n * n) as u64);
+    add(Level::L2, 2 * T::MULADD_FLOPS * (n * n) as u64);
     // A read and written once, u/work streamed per column sweep.
-    add_bytes(Level::L2, 8 * (2 * n * n + 2 * n) as u64);
-    // work = A u  (A is fully stored symmetric here)
-    work[..n].fill(0.0);
+    add_bytes(Level::L2, T::BYTES * (2 * n * n + 2 * n) as u64);
+    // work = A u  (A is fully stored here)
+    work[..n].fill(T::ZERO);
     for j in 0..n {
         let t = u[j];
-        if t == 0.0 {
+        if t == T::ZERO {
             continue;
         }
         let col = &a[j * lda..j * lda + n];
@@ -191,17 +192,22 @@ pub fn larf_sym_two_sided(
             work[i] += t * col[i];
         }
     }
-    let uau: f64 = (0..n).map(|i| u[i] * work[i]).sum();
-    let half = 0.5 * tau * uau;
+    // u^H A u is real for Hermitian A; drop the rounding residue.
+    let uau = T::new(
+        (0..n).map(|i| work[i].mul_conj(u[i]).re()).sum::<f64>(),
+        0.0,
+    );
+    let half = T::new(0.5, 0.0) * tau.conj() * uau;
     for i in 0..n {
         work[i] = tau * (work[i] - half * u[i]);
     }
     for j in 0..n {
-        let (wj, uj) = (work[j], u[j]);
+        let (wj, uj) = (work[j].conj(), u[j].conj());
         let col = &mut a[j * lda..j * lda + n];
         for i in 0..n {
             col[i] -= u[i] * wj + work[i] * uj;
         }
+        col[j] = T::new(col[j].re(), 0.0);
     }
 }
 
@@ -591,6 +597,25 @@ mod tests {
         larf_sym_two_sided(&u, tau, n, a.as_mut_slice(), n, &mut work);
         let want = h.multiply(&a0).unwrap().multiply(&h).unwrap();
         assert!(a.approx_eq(&want, 1e-12));
+
+        // C64: `H^H A H` on a Hermitian block, diagonal exactly real.
+        let mut a = rand_cmat(n, n, 6);
+        a.hermitize_from_lower();
+        let a0 = a.clone();
+        let mut x: Vec<C64> = (0..n - 1)
+            .map(|i| c64(0.3 - 0.2 * i as f64, 0.1 * i as f64))
+            .collect();
+        let (_, tau) = larfg(c64(-0.2, 0.4), &mut x);
+        let mut u = vec![C64::ONE];
+        u.extend_from_slice(&x);
+        let h = dense_hc(&u, tau);
+        let mut work = vec![C64::ZERO; n];
+        larf_sym_two_sided(&u, tau, n, a.as_mut_slice(), n, &mut work);
+        let want = h.adjoint().multiply(&a0).multiply(&h);
+        assert!(a.max_diff(&want) < 1e-12);
+        for i in 0..n {
+            assert_eq!(a[(i, i)].im, 0.0);
+        }
     }
 
     /// Build k random reflectors in explicit-V form plus their taus.

@@ -61,15 +61,15 @@ impl<T: Scalar> QrWs<T> {
     }
 }
 
-/// Workspace requirement of [`geqrf_ws`] for an `m x n` `f64` panel
-/// factored with block size `nb`.
-pub fn geqrf_req(m: usize, n: usize, nb: usize) -> MemReq {
+/// Workspace requirement of [`geqrf_ws`] for an `m x n` panel of
+/// element type `T` factored with block size `nb`.
+pub fn geqrf_req<T>(m: usize, n: usize, nb: usize) -> MemReq {
     let nb = nb.max(1).min(n.max(1));
-    MemReq::f64s(n) // geqr2 work
-        .and(MemReq::f64s(m)) // geqr2 u
-        .and(MemReq::f64s(m * nb)) // V
-        .and(MemReq::f64s(nb * nb)) // T
-        .and(MemReq::f64s(2 * nb * n)) // larfb work
+    MemReq::of::<T>(n) // geqr2 work
+        .and(MemReq::of::<T>(m)) // geqr2 u
+        .and(MemReq::of::<T>(m * nb)) // V
+        .and(MemReq::of::<T>(nb * nb)) // T
+        .and(MemReq::of::<T>(2 * nb * n)) // larfb work
 }
 
 /// Unblocked QR (LAPACK `geqr2`): on return the upper triangle of `a`
@@ -215,33 +215,22 @@ pub fn geqrf_ws<T: ComplexScalar + GemmScalar>(
     }
 }
 
-/// Copy the reflectors of a factored panel (`geqr2` layout, `mm x kk`)
-/// into an explicit-V matrix (unit diagonal, zeros above) and compute its
-/// `T` factor. Returns `(V, T)` with `T` stored column-major `kk x kk`.
+/// [`extract_v_t_vec`] into fresh storage, with `V` as a [`Matrix`].
 pub fn extract_v_t(a: &[f64], lda: usize, mm: usize, kk: usize, tau: &[f64]) -> (Matrix, Vec<f64>) {
-    let mut v = Matrix::zeros(0, 0);
+    let mut v = Vec::new();
     let mut t = Vec::new();
-    extract_v_t_into(a, lda, mm, kk, tau, &mut v, &mut t);
-    (v, t)
+    extract_v_t_vec(a, lda, mm, kk, tau, &mut v, &mut t);
+    match Matrix::from_col_major(mm, kk, v) {
+        Ok(v) => (v, t),
+        Err(e) => unreachable!("V is mm x kk by construction: {e}"),
+    }
 }
 
-/// [`extract_v_t`] into caller-owned storage, resizing in place (no
-/// allocation once the buffers are warm).
-pub fn extract_v_t_into(
-    a: &[f64],
-    lda: usize,
-    mm: usize,
-    kk: usize,
-    tau: &[f64],
-    v: &mut Matrix,
-    t: &mut Vec<f64>,
-) {
-    v.reset_to(mm, kk);
-    fill_v_t(a, lda, mm, kk, tau, v.as_mut_slice(), t);
-}
-
-/// [`extract_v_t_into`] for any element type, with `V` kept as a
-/// column-major `mm x kk` buffer.
+/// Copy the reflectors of a factored panel (`geqr2` layout, `mm x kk`)
+/// into an explicit-V block (unit diagonal, zeros above; column-major
+/// `mm x kk`) and compute its `T` factor (column-major `kk x kk`), both
+/// into caller-owned storage resized in place (no allocation once the
+/// buffers are warm).
 pub fn extract_v_t_vec<T: ComplexScalar>(
     a: &[T],
     lda: usize,
@@ -252,20 +241,6 @@ pub fn extract_v_t_vec<T: ComplexScalar>(
     t: &mut Vec<T>,
 ) {
     reset_zeroed(v, mm * kk);
-    fill_v_t(a, lda, mm, kk, tau, v, t);
-}
-
-/// Shared body of the `extract_v_t*` family: `v` is a zeroed `mm x kk`
-/// buffer.
-fn fill_v_t<T: ComplexScalar>(
-    a: &[T],
-    lda: usize,
-    mm: usize,
-    kk: usize,
-    tau: &[T],
-    v: &mut [T],
-    t: &mut Vec<T>,
-) {
     for col in 0..kk {
         v[col + col * mm] = T::ONE;
         for r in col + 1..mm {

@@ -1,4 +1,5 @@
-//! Symmetric band storage (lower), with workspace sub-diagonals for bulges.
+//! Symmetric / Hermitian band storage (lower), with workspace
+//! sub-diagonals for bulges.
 //!
 //! The bulge-chasing stage of the two-stage algorithm works on a symmetric
 //! band matrix of semi-bandwidth `b = nb`. While a bulge is being chased it
@@ -8,14 +9,16 @@
 //! `j <= i <= j + b + extra`) lives at `ab[(i - j) + j * ldab]`.
 //!
 //! Only the lower triangle is stored; `get`/`set` transparently apply the
-//! symmetry `A(i, j) == A(j, i)`.
+//! Hermitian symmetry `A(i, j) == conj(A(j, i))`, which is plain symmetry
+//! for the real element types.
 
-use crate::dense::Matrix;
-use crate::tridiagonal::SymTridiagonal;
+use crate::dense::{ColMajorMut, Matrix};
+use crate::scalar::ComplexScalar;
 
-/// Symmetric matrix in lower band storage with workspace rows.
+/// Symmetric (real `T`) or Hermitian (complex `T`) matrix in lower band
+/// storage with workspace rows.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SymBandMatrix {
+pub struct SymBandMatrix<T = f64> {
     n: usize,
     /// Semi-bandwidth of the *logical* band (number of sub-diagonals that
     /// hold matrix data when no bulge is in flight).
@@ -23,40 +26,34 @@ pub struct SymBandMatrix {
     /// Extra sub-diagonals kept as bulge workspace.
     extra: usize,
     /// `ldab x n` column-major buffer, `ldab = bandwidth + extra + 1`.
-    ab: Vec<f64>,
+    ab: Vec<T>,
 }
 
-impl Default for SymBandMatrix {
+impl<T: ComplexScalar> Default for SymBandMatrix<T> {
     /// The empty order-0 band matrix.
     fn default() -> Self {
         SymBandMatrix::zeros(0, 0, 0)
     }
 }
 
-impl SymBandMatrix {
-    /// Zero-filled symmetric band matrix of order `n`, semi-bandwidth
-    /// `bandwidth`, with `extra` workspace sub-diagonals.
+impl<T: ComplexScalar> SymBandMatrix<T> {
+    /// Zero-filled band matrix of order `n`, semi-bandwidth `bandwidth`,
+    /// with `extra` workspace sub-diagonals.
     pub fn zeros(n: usize, bandwidth: usize, extra: usize) -> Self {
         let ldab = bandwidth + extra + 1;
         SymBandMatrix {
             n,
             bandwidth,
             extra,
-            ab: vec![0.0; ldab * n],
+            ab: vec![T::ZERO; ldab * n],
         }
     }
 
-    /// Extract the lower band of a dense symmetric matrix (only the lower
-    /// triangle of `a` is referenced).
-    pub fn from_dense_lower(a: &Matrix, bandwidth: usize, extra: usize) -> Self {
-        assert_eq!(a.rows(), a.cols());
-        let n = a.rows();
-        let mut b = SymBandMatrix::zeros(n, bandwidth, extra);
-        for j in 0..n {
-            for i in j..(j + bandwidth + 1).min(n) {
-                b.set(i, j, a[(i, j)]);
-            }
-        }
+    /// Extract the lower band of a dense symmetric / Hermitian matrix
+    /// (only the lower triangle of `a` is referenced).
+    pub fn from_dense_lower(a: &impl ColMajorMut<T>, bandwidth: usize, extra: usize) -> Self {
+        let mut b = SymBandMatrix::default();
+        b.refill_from_dense_lower(a, bandwidth, extra);
         b
     }
 
@@ -84,29 +81,25 @@ impl SymBandMatrix {
         self.bandwidth + self.extra + 1
     }
 
-    /// `true` iff `(i, j)` (lower triangle) is inside the stored diagonals.
+    /// Read `A(i, j)`: an upper entry reads as the conjugate of its
+    /// stored mirror, and elements outside the stored band read as zero.
     #[inline]
-    pub fn in_store(&self, i: usize, j: usize) -> bool {
-        i >= j && i < self.n && i - j <= self.bandwidth + self.extra
-    }
-
-    /// Read `A(i, j)`; symmetry is applied, and elements outside the stored
-    /// band read as zero.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        let (i, j) = if i >= j { (i, j) } else { (j, i) };
+    pub fn get(&self, i: usize, j: usize) -> T {
+        if i < j {
+            return self.get(j, i).conj();
+        }
         if i - j <= self.bandwidth + self.extra {
             self.ab[(i - j) + j * self.ldab()]
         } else {
-            0.0
+            T::ZERO
         }
     }
 
-    /// Write `A(i, j)` (and implicitly `A(j, i)`). Panics outside the
-    /// stored diagonals.
+    /// Write `A(i, j)` (and implicitly `A(j, i) = conj(v)`). Panics
+    /// outside the stored diagonals.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        let (i, j) = if i >= j { (i, j) } else { (j, i) };
+    pub fn set(&mut self, i: usize, j: usize, v: T) {
+        let (i, j, v) = if i >= j { (i, j, v) } else { (j, i, v.conj()) };
         assert!(
             i - j <= self.bandwidth + self.extra && i < self.n,
             "write outside stored band: ({i},{j}), bw {} extra {}",
@@ -117,97 +110,50 @@ impl SymBandMatrix {
         self.ab[(i - j) + j * ldab] = v;
     }
 
-    /// Stored part of column `j`: `A(j..=min(j+bw+extra, n-1), j)`,
-    /// starting at the diagonal element.
-    #[inline]
-    pub fn col(&self, j: usize) -> &[f64] {
-        let ldab = self.ldab();
-        let len = (self.n - j).min(ldab);
-        &self.ab[j * ldab..j * ldab + len]
-    }
-
-    /// Mutable stored part of column `j`.
-    #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        let ldab = self.ldab();
-        let len = (self.n - j).min(ldab);
-        &mut self.ab[j * ldab..j * ldab + len]
-    }
-
     /// Raw band buffer (column-major, `ldab x n`).
     #[inline]
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.ab
     }
 
     /// Raw band buffer, mutable.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.ab
     }
 
-    /// Expand to a dense symmetric [`Matrix`] (both triangles filled).
-    pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.n, self.n);
-        for j in 0..self.n {
-            for i in j..(j + self.bandwidth + self.extra + 1).min(self.n) {
-                let v = self.get(i, j);
-                m[(i, j)] = v;
-                m[(j, i)] = v;
-            }
-        }
-        m
-    }
-
-    /// Extract the symmetric tridiagonal `(d, e)` from the first two
-    /// stored diagonals. Valid once the bulge chase has driven the band to
-    /// tridiagonal form.
-    pub fn to_tridiagonal(&self) -> SymTridiagonal {
-        let d: Vec<f64> = (0..self.n).map(|j| self.get(j, j)).collect();
-        let e: Vec<f64> = (0..self.n.saturating_sub(1))
-            .map(|j| self.get(j + 1, j))
-            .collect();
-        SymTridiagonal::new(d, e)
-    }
-
-    /// [`Self::to_tridiagonal`] into caller-owned storage: `d` must have
-    /// length `n` and `e` length `n - 1` (or both empty for `n == 0`).
-    /// Writes the same values as `to_tridiagonal` without allocating.
-    pub fn to_tridiagonal_into(&self, d: &mut [f64], e: &mut [f64]) {
-        assert_eq!(d.len(), self.n);
-        assert_eq!(e.len(), self.n.saturating_sub(1));
-        for (j, dj) in d.iter_mut().enumerate() {
-            *dj = self.get(j, j);
-        }
-        for (j, ej) in e.iter_mut().enumerate() {
-            *ej = self.get(j + 1, j);
-        }
-    }
-
-    /// Reset in place to the lower band of the dense symmetric `a`,
-    /// reusing the buffer. The shape `(n, bandwidth, extra)` may change;
-    /// once the buffer capacity covers the largest shape seen, this is
-    /// allocation-free. Same values as [`Self::from_dense_lower`].
-    pub fn refill_from_dense_lower(&mut self, a: &Matrix, bandwidth: usize, extra: usize) {
-        assert_eq!(a.rows(), a.cols());
-        let n = a.rows();
+    /// Reset in place to the lower band of the dense `a`, reusing the
+    /// buffer. The shape `(n, bandwidth, extra)` may change; once the
+    /// buffer capacity covers the largest shape seen, this is
+    /// allocation-free. The diagonal's imaginary part is dropped (a
+    /// no-op for the real types).
+    pub fn refill_from_dense_lower(
+        &mut self,
+        a: &impl ColMajorMut<T>,
+        bandwidth: usize,
+        extra: usize,
+    ) {
+        let n = a.nrows();
+        assert_eq!(n, a.ncols());
+        let src = a.col_major();
         let ldab = bandwidth + extra + 1;
         self.n = n;
         self.bandwidth = bandwidth;
         self.extra = extra;
         self.ab.clear();
         self.ab.reserve_exact(ldab * n);
-        self.ab.resize(ldab * n, 0.0);
+        self.ab.resize(ldab * n, T::ZERO);
         for j in 0..n {
-            for i in j..(j + bandwidth + 1).min(n) {
-                self.set(i, j, a[(i, j)]);
-            }
+            let len = (n - j).min(bandwidth + 1);
+            let col = &mut self.ab[j * ldab..j * ldab + len];
+            col.copy_from_slice(&src[j + j * n..j + j * n + len]);
+            col[0] = T::new(col[0].re(), 0.0);
         }
     }
 
     /// Overwrite `self` with a copy of `other`, reusing the buffer
     /// (allocation-free once capacity covers `other`'s buffer).
-    pub fn copy_from(&mut self, other: &SymBandMatrix) {
+    pub fn copy_from(&mut self, other: &SymBandMatrix<T>) {
         self.n = other.n;
         self.bandwidth = other.bandwidth;
         self.extra = other.extra;
@@ -217,12 +163,12 @@ impl SymBandMatrix {
 
     /// Bytes of heap capacity retained by the band buffer.
     pub fn capacity_bytes(&self) -> usize {
-        self.ab.capacity() * std::mem::size_of::<f64>()
+        self.ab.capacity() * std::mem::size_of::<T>()
     }
 
-    /// Largest absolute value found strictly below sub-diagonal `k`
-    /// (within the stored workspace rows). Used by tests to assert that
-    /// bulge chasing leaves no fill-in behind: after the chase,
+    /// Largest modulus found strictly below sub-diagonal `k` (within
+    /// the stored workspace rows). Used by tests to assert that bulge
+    /// chasing leaves no fill-in behind: after the chase,
     /// `max_below_subdiagonal(1) == 0`.
     pub fn max_below_subdiagonal(&self, k: usize) -> f64 {
         let mut m = 0.0f64;
@@ -232,6 +178,13 @@ impl SymBandMatrix {
             }
         }
         m
+    }
+}
+
+impl SymBandMatrix {
+    /// Expand to a dense symmetric [`Matrix`] (both triangles filled).
+    pub fn to_dense(&self) -> Matrix {
+        Matrix::from_fn(self.n, self.n, |i, j| self.get(i, j))
     }
 }
 
@@ -451,27 +404,22 @@ mod tests {
     }
 
     #[test]
-    fn column_slices() {
-        let mut b = SymBandMatrix::zeros(4, 1, 1);
-        b.set(2, 2, 5.0);
-        b.set(3, 2, 6.0);
-        assert_eq!(b.col(2), &[5.0, 6.0]); // truncated near the edge
-        assert_eq!(b.col(3), &[0.0]);
-        b.col_mut(3)[0] = 9.0;
-        assert_eq!(b.get(3, 3), 9.0);
-    }
-
-    #[test]
-    fn tridiagonal_extraction() {
-        let mut b = SymBandMatrix::zeros(3, 2, 0);
-        for j in 0..3 {
-            b.set(j, j, (j + 1) as f64);
-        }
-        b.set(1, 0, -1.0);
-        b.set(2, 1, -2.0);
-        let t = b.to_tridiagonal();
-        assert_eq!(t.diag(), &[1.0, 2.0, 3.0]);
-        assert_eq!(t.off_diag(), &[-1.0, -2.0]);
+    fn hermitian_get_set_conjugate() {
+        use crate::complex::{c64, CMatrix, C64};
+        let mut b = SymBandMatrix::<C64>::zeros(4, 2, 1);
+        b.set(0, 2, c64(1.0, 2.0)); // upper write stores the conjugate
+        assert_eq!(b.get(2, 0), c64(1.0, -2.0));
+        assert_eq!(b.get(0, 2), c64(1.0, 2.0));
+        // Refilling from a dense lower triangle drops the diagonal's
+        // imaginary part and reads nothing above the diagonal.
+        let a = CMatrix::from_fn(4, 4, |i, j| {
+            c64((i + 2 * j) as f64, i as f64 - j as f64 + 0.5)
+        });
+        let b = SymBandMatrix::from_dense_lower(&a, 1, 1);
+        assert_eq!(b.get(2, 2), c64(6.0, 0.0));
+        assert_eq!(b.get(2, 1), a[(2, 1)]);
+        assert_eq!(b.get(1, 2), a[(2, 1)].conj());
+        assert_eq!(b.get(3, 1), C64::ZERO);
     }
 
     #[test]

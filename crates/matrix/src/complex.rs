@@ -460,6 +460,24 @@ impl<T: ComplexScalar> CMatrixG<T> {
         }
     }
 
+    /// Real symmetric `2n x 2n` embedding `[[X, -Y], [Y, X]]` of
+    /// `A = X + iY`: every eigenvalue of a Hermitian `A` appears in it
+    /// exactly twice, so a real oracle certifies a complex solve.
+    /// Components are widened to `f64`.
+    pub fn real_embedding(&self) -> crate::Matrix {
+        assert_eq!(self.rows, self.cols);
+        let n = self.rows;
+        crate::Matrix::from_fn(2 * n, 2 * n, |i, j| {
+            let (bi, ii) = (i / n, i % n);
+            let (bj, jj) = (j / n, j % n);
+            match (bi, bj) {
+                (0, 0) | (1, 1) => self[(ii, jj)].re(),
+                (0, 1) => -self[(ii, jj)].im(),
+                _ => self[(ii, jj)].im(),
+            }
+        })
+    }
+
     /// Maximum modulus of the element-wise difference.
     pub fn max_diff(&self, other: &CMatrixG<T>) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -477,12 +495,31 @@ impl<T: ComplexScalar> CMatrixG<T> {
     }
 }
 
+impl<T: ComplexScalar> Default for CMatrixG<T> {
+    /// The empty `0 x 0` matrix.
+    fn default() -> Self {
+        CMatrixG::zeros(0, 0)
+    }
+}
+
 impl<T: ComplexScalar> crate::dense::ColMajorMut<T> for CMatrixG<T> {
     fn nrows(&self) -> usize {
         self.rows
     }
+    fn ncols(&self) -> usize {
+        self.cols
+    }
+    fn col_major(&self) -> &[T] {
+        &self.data
+    }
     fn col_major_mut(&mut self) -> &mut [T] {
         &mut self.data
+    }
+    fn copy_from(&mut self, other: &Self) {
+        self.rows = other.rows;
+        self.cols = other.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&other.data);
     }
 }
 

@@ -259,20 +259,36 @@ impl Matrix {
 
 /// A dense matrix stored column-major with leading dimension = rows, as
 /// element-type-generic code sees it: lets it take a `Matrix` and a
-/// `CMatrixG` alike and still check the row count of its input.
+/// `CMatrixG` alike and still check the shape of its input.
 pub trait ColMajorMut<T> {
     /// Number of rows (the leading dimension of the buffer).
     fn nrows(&self) -> usize;
+    /// Number of columns.
+    fn ncols(&self) -> usize;
+    /// Whole buffer, column-major.
+    fn col_major(&self) -> &[T];
     /// Whole buffer, column-major, mutable.
     fn col_major_mut(&mut self) -> &mut [T];
+    /// Overwrite `self` with a copy of `other`, reusing the buffer
+    /// (allocation-free once capacity covers `other`'s size).
+    fn copy_from(&mut self, other: &Self);
 }
 
 impl ColMajorMut<f64> for Matrix {
     fn nrows(&self) -> usize {
         self.rows
     }
+    fn ncols(&self) -> usize {
+        self.cols
+    }
+    fn col_major(&self) -> &[f64] {
+        &self.data
+    }
     fn col_major_mut(&mut self) -> &mut [f64] {
         &mut self.data
+    }
+    fn copy_from(&mut self, other: &Matrix) {
+        Matrix::copy_from(self, other)
     }
 }
 

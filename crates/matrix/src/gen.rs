@@ -5,6 +5,7 @@
 //! symmetric matrix whose exact eigenvalues are known in advance — the
 //! standard way to validate an eigensolver end to end.
 
+use crate::complex::{c64, CMatrix};
 use crate::dense::Matrix;
 use crate::tridiagonal::SymTridiagonal;
 use rand::rngs::StdRng;
@@ -23,6 +24,18 @@ pub fn random_symmetric(n: usize, seed: u64) -> Matrix {
             a[(j, i)] = v;
         }
     }
+    a
+}
+
+/// Dense Hermitian matrix with i.i.d. uniform `[-1, 1]` real and
+/// imaginary parts (lower triangle mirrored, diagonal real): the complex
+/// counterpart of [`random_symmetric`].
+pub fn random_hermitian(n: usize, seed: u64) -> CMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut a = CMatrix::from_fn(n, n, |_, _| {
+        c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+    });
+    a.hermitize_from_lower();
     a
 }
 

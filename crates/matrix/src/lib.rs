@@ -4,9 +4,10 @@
 //!
 //! * [`Matrix`] — a column-major dense matrix of `f64`, the layout every
 //!   LAPACK-style kernel in `tseig-kernels` expects,
-//! * [`SymBandMatrix`] — lower-triangular symmetric band storage with extra
-//!   workspace sub-diagonals so the bulge-chasing stage can let fill-in grow
-//!   below the band without reallocating,
+//! * [`SymBandMatrix`] — lower-triangular symmetric (or, at a complex
+//!   element type, Hermitian) band storage with extra workspace
+//!   sub-diagonals so the bulge-chasing stage can let fill-in grow below
+//!   the band without reallocating,
 //! * [`SymTridiagonal`] — the `(d, e)` pair produced by both reduction
 //!   pipelines and consumed by the tridiagonal eigensolvers,
 //! * generators for reproducible test and benchmark workloads

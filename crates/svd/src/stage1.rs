@@ -19,19 +19,22 @@
 
 use tseig_kernels::contract;
 use tseig_kernels::householder::{larfb_with_work, Side};
-use tseig_kernels::qr::{extract_v_t_into, geqrf_ws, QrWs};
+use tseig_kernels::qr::{extract_v_t_vec, geqrf_ws, QrWs};
 use tseig_kernels::Trans;
 use tseig_matrix::workspace::reset_f64s;
 use tseig_matrix::{Ctrl, GeBandMatrix, Matrix};
 
 /// One panel's block reflector `I - V T V^T` acting on the contiguous
-/// coordinate range `j0 .. j0 + V.rows()` (rows for `Q1` panels, columns
+/// coordinate range `j0 .. j0 + rows` (rows for `Q1` panels, columns
 /// for `P1` panels).
 pub struct GbPanel {
     /// First global coordinate the reflector touches.
     pub j0: usize,
-    /// Explicit-V block (unit diagonal, zeros above).
-    pub v: Matrix,
+    /// Row count of `V`.
+    pub rows: usize,
+    /// `rows x k` explicit-V block (unit diagonal, zeros above),
+    /// column-major.
+    pub v: Vec<f64>,
     /// `k x k` triangular factor, column-major.
     pub t: Vec<f64>,
 }
@@ -102,12 +105,13 @@ pub fn ge2bb_with(
         }
         let mut qp = GbPanel {
             j0,
-            v: Matrix::zeros(0, 0),
+            rows: m0,
+            v: Vec::new(),
             t: Vec::new(),
         };
         {
             let panel = &work.as_slice()[j0 + j0 * lda..];
-            extract_v_t_into(panel, lda, m0, jb, &tau, &mut qp.v, &mut qp.t);
+            extract_v_t_vec(panel, lda, m0, jb, &tau, &mut qp.v, &mut qp.t);
         }
         let wcols = n - j0 - jb;
         if wcols > 0 {
@@ -119,7 +123,7 @@ pub fn ge2bb_with(
                 m0,
                 wcols,
                 jb,
-                qp.v.as_slice(),
+                &qp.v,
                 m0,
                 &qp.t,
                 jb,
@@ -152,10 +156,11 @@ pub fn ge2bb_with(
             geqrf_ws(w, jb, &mut rp, w, &mut tau, ib, &mut qr);
             let mut pp = GbPanel {
                 j0: j0 + jb,
-                v: Matrix::zeros(0, 0),
+                rows: w,
+                v: Vec::new(),
                 t: Vec::new(),
             };
-            extract_v_t_into(&rp, w, w, kk, &tau, &mut pp.v, &mut pp.t);
+            extract_v_t_vec(&rp, w, w, kk, &tau, &mut pp.v, &mut pp.t);
             // Row panel <- [Rt^T 0] (the lower-trapezoidal L).
             for c in 0..jb {
                 for i in 0..w {
@@ -172,7 +177,7 @@ pub fn ge2bb_with(
                 mrows,
                 w,
                 kk,
-                pp.v.as_slice(),
+                &pp.v,
                 w,
                 &pp.t,
                 kk,
@@ -220,8 +225,8 @@ fn apply_panels(panels: &[GbPanel], u: &mut Matrix) {
     let ldu = u.ld();
     let mut lb = Vec::new();
     for p in panels.iter().rev() {
-        let m0 = p.v.rows();
-        let kk = p.v.cols();
+        let m0 = p.rows;
+        let kk = p.v.len() / m0;
         assert!(p.j0 + m0 <= u.rows(), "panel exceeds the target matrix");
         reset_f64s(&mut lb, 2 * kk * nc);
         larfb_with_work(
@@ -230,7 +235,7 @@ fn apply_panels(panels: &[GbPanel], u: &mut Matrix) {
             m0,
             nc,
             kk,
-            p.v.as_slice(),
+            &p.v,
             m0,
             &p.t,
             kk,

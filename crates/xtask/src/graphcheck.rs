@@ -53,12 +53,6 @@ const BUILDERS: &[(&str, &str, SpecFn, OwnerFn)] = &[
         chase::task_owners::<tseig_core::stage2::EigChase>,
     ),
     (
-        "hermitian",
-        "crates/hermitian/src/stage2.rs",
-        chase::task_specs::<tseig_hermitian::stage2::HermitianChase>,
-        chase::task_owners::<tseig_hermitian::stage2::HermitianChase>,
-    ),
-    (
         "svd",
         "crates/svd/src/stage2.rs",
         chase::task_specs::<tseig_svd::stage2::SvdChase>,
@@ -229,7 +223,7 @@ mod tests {
         let cert = certificate_json(&reports);
         assert!(cert.contains("\"schema\": \"tseig-graphcheck/1\""));
         assert!(cert.contains("\"ok\": true"));
-        assert!(cert.contains("\"builder\": \"hermitian\""));
+        assert!(cert.contains("\"builder\": \"core\""));
         assert!(cert.contains("\"builder\": \"svd\""));
         // Parseable enough for CI consumers: balanced braces/brackets.
         assert_eq!(cert.matches('{').count(), cert.matches('}').count());

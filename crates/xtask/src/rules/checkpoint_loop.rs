@@ -173,7 +173,7 @@ mod tests {
     fn serial_chase_loops_stay_covered() {
         // The serial sweep loops stayed in the builders when the chase
         // protocol moved to the engine.
-        for c in ["core", "hermitian", "svd"] {
+        for c in ["core", "svd"] {
             assert!(applies_to(&format!("crates/{c}/src/stage2.rs")), "{c}");
         }
     }

@@ -95,12 +95,12 @@ mod tests {
     #[test]
     fn tuple_indexing_counts_as_storage() {
         let src = format!("{TASK_FILE_PRELUDE}fn peek(a: &M) -> f64 {{\n    a[(0, 1)]\n}}\n");
-        assert_eq!(run("crates/hermitian/src/stage2.rs", &src).len(), 1);
+        assert_eq!(run("crates/core/src/stage2.rs", &src).len(), 1);
         // ...but slice literals and vec! patterns do not.
         let src = format!(
             "{TASK_FILE_PRELUDE}fn decl() -> Vec<(u32, bool)> {{\n    vec![(1, true)]\n}}\n"
         );
-        assert!(run("crates/hermitian/src/stage2.rs", &src).is_empty());
+        assert!(run("crates/core/src/stage2.rs", &src).is_empty());
     }
 
     #[test]
@@ -129,11 +129,7 @@ mod tests {
         // `Builder::run_task`; if the marker stopped finding a builder,
         // its kernels' storage touches would go unchecked.
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for rel in [
-            "crates/core/src/stage2.rs",
-            "crates/hermitian/src/stage2.rs",
-            "crates/svd/src/stage2.rs",
-        ] {
+        for rel in ["crates/core/src/stage2.rs", "crates/svd/src/stage2.rs"] {
             let src = std::fs::read_to_string(root.join(rel)).unwrap();
             assert!(defines_task_bodies(&SourceFile::parse(rel, &src)), "{rel}");
         }

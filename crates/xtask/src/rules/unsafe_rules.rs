@@ -20,10 +20,10 @@ use crate::Diag;
 ///   tasks reach the shared band and reflector slots through `DataCell`
 ///   under the scheduler's region guarantee and the `unsafe trait
 ///   Builder` footprint contract.
-/// * `core/src/stage2.rs`, `hermitian/src/stage2.rs`, and
-///   `svd/src/stage2.rs` — the real, complex, and band-bidiagonal
-///   chases' `unsafe impl Builder`: each vouches that its kernels stay
-///   inside the footprints the engine declares for them.
+/// * `core/src/stage2.rs` and `svd/src/stage2.rs` — the symmetric /
+///   Hermitian and the band-bidiagonal chases' `unsafe impl Builder`:
+///   each vouches that its kernels stay inside the footprints the engine
+///   declares for them.
 /// * `kernels/src/blas3/simd.rs` — the `std::arch` GEMM microkernels;
 ///   runtime `is_x86_feature_detected!` dispatch plus the safe entry
 ///   wrappers' bounds assertions are the safety argument.
@@ -31,7 +31,6 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/runtime/src/data.rs",
     "crates/runtime/src/chase.rs",
     "crates/core/src/stage2.rs",
-    "crates/hermitian/src/stage2.rs",
     "crates/svd/src/stage2.rs",
     "crates/kernels/src/blas3/simd.rs",
 ];
